@@ -435,10 +435,12 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Number of OCaml domains (cores) for refinement checking; 0 \
-           means the runtime's recommended count. Verdicts, \
-           counterexamples, and state/pair counts are identical to a \
-           single-core run.")
+          "Number of assertions checked at once, each on its own OCaml \
+           domain; 0 means the runtime's recommended count. A single \
+           assertion always runs on one domain, and $(b,--timeout), \
+           $(b,--checkpoint-out) and $(b,--resume) check assertions one \
+           after another. Verdicts, counterexamples, and state/pair \
+           counts are identical to a $(b,-j 1) run.")
 
 let list_arg =
   Arg.(

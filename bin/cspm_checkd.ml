@@ -191,7 +191,9 @@ let cmd =
          cspm-checkd/1): $(b,submit) with an id and an inline \
          $(b,script) or a $(b,path), plus optional $(b,deadline_s), \
          $(b,workers), $(b,max_states), $(b,max_retries); $(b,health); \
-         $(b,drain).";
+         $(b,drain). $(b,workers) sizes a trace-check job's stream \
+         fan-out; a check job runs its assertions one after another on \
+         one domain and ignores it.";
       `P
         "Events (one JSON object per stdout line): $(b,accepted), \
          $(b,rejected), $(b,started), $(b,retrying), $(b,result) with \

@@ -27,7 +27,11 @@ type t = {
   deadline : float option;
       (** wall-clock budget in seconds from the start of the check;
           [None] = unbounded *)
-  workers : int;  (** domain-pool size for the product search; 1 = sequential *)
+  workers : int;
+      (** how many domains work at once where the work is independent:
+          assertions checked concurrently by [Cspm.Check.run] when there
+          is no deadline, and trace-check stream fan-out. A single product
+          search always runs on one domain. *)
   obs : Obs.t;
       (** observability handle: spans and metrics from every pipeline
           stage go here ({!Obs.silent} costs one branch per operation) *)

@@ -77,19 +77,16 @@ let run_with_deadline ~(config : Csp.Check_config.t) ~total
     loaded.Elaborate.assertions
 
 (* Without a deadline the assertions are independent, so idle domains can
-   take whole assertions: [concurrent] of them run at once, each with an
-   equal share of the worker pool for its own product search. Results are
-   reported in script order regardless of completion order. *)
+   take whole assertions: [concurrent] of them run at once, each searched
+   sequentially on its own domain. Results are reported in script order
+   regardless of completion order. *)
 let run_concurrent ~(config : Csp.Check_config.t) (loaded : Elaborate.t) =
-  let workers = config.Csp.Check_config.workers in
   let assertions = Array.of_list loaded.Elaborate.assertions in
   let n = Array.length assertions in
   let prepared =
     Array.map (fun (a, _) -> prepare loaded a) assertions
   in
-  let concurrent = min workers n in
-  let per_assertion = max 1 (workers / concurrent) in
-  let config = Csp.Check_config.with_workers per_assertion config in
+  let concurrent = min config.Csp.Check_config.workers n in
   let results = Array.make n None in
   let next = Atomic.make 0 in
   let task () =
@@ -120,11 +117,6 @@ let run_concurrent ~(config : Csp.Check_config.t) (loaded : Elaborate.t) =
        assertions)
 
 let run ?(config = Csp.Check_config.default) (loaded : Elaborate.t) =
-  let config =
-    Csp.Check_config.with_workers
-      (max 1 config.Csp.Check_config.workers)
-      config
-  in
   let n = List.length loaded.Elaborate.assertions in
   match config.Csp.Check_config.deadline with
   | Some total ->
@@ -173,8 +165,9 @@ let json_of_outcome i o =
         "wall_s", Num s.Csp.Refine.wall_s;
         "states_per_sec", Num s.Csp.Refine.states_per_sec;
         "peak_frontier", num s.Csp.Refine.peak_frontier;
-        "workers", num s.Csp.Refine.workers;
-        "par_speedup", Num s.Csp.Refine.par_speedup;
+        (* one sequential search; constants keep cspm-check/1's keys *)
+        "workers", num 1;
+        "par_speedup", Num 1.0;
         ( "reductions",
           List
             (List.map

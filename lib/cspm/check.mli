@@ -15,8 +15,8 @@ val run_assertion :
   Csp.Refine.result
 (** Elaborate the assertion's terms against the loaded script and run the
     corresponding check ([T=] trace refinement, [F=] stable-failures
-    refinement, deadlock or divergence freedom). Budgets, worker pool,
-    and observability come from [config] (default
+    refinement, deadlock or divergence freedom) on the calling domain.
+    Budgets and observability come from [config] (default
     {!Csp.Check_config.default}); on a budget expiry the result is
     {!Csp.Refine.Inconclusive} rather than an exception. *)
 
@@ -60,11 +60,11 @@ val run : ?config:Csp.Check_config.t -> Elaborate.t -> outcome list
     unused by fast assertions rolls forward to later (possibly hard) ones
     instead of being discarded.
 
-    [config.workers] enables multicore checking: under a deadline (whose
-    accounting is inherently sequential) each assertion runs the parallel
-    engine with the full pool; without one, up to that many independent
-    assertions run concurrently on their own domains, each given an equal
-    share of the pool for its own product search. Verdicts and
+    [config.workers] is how many assertions run at once: without a
+    deadline, up to that many independent assertions are checked
+    concurrently, each on its own domain. A single assertion always runs
+    on one domain, and under a deadline (whose accounting is inherently
+    sequential) the assertions run one after another. Verdicts and
     counterexamples are identical to a sequential run either way.
 
     [config.obs] records a [check.assertion] span per assertion (on the
@@ -112,8 +112,10 @@ val json_of_outcomes : ?cache:Csp.Cache.stats -> outcome list -> Obs.Json.t
     reduction pipeline, [[]] on the raw path, and this one adds the
     optional top-level ["cache"] object — [{"hits", "misses",
     "evictions", "resident_states", "resident_entries"}], present when
-    the run used an LTS cache). Timing fields ([wall_s],
-    [states_per_sec], [par_speedup]) vary run to run; everything else is
+    the run used an LTS cache). ["workers"] and ["par_speedup"] are the
+    constants [1] and [1.0]: the product search is sequential, and the
+    keys stay so existing consumers keep parsing. Timing fields
+    ([wall_s], [states_per_sec]) vary run to run; everything else is
     deterministic. *)
 
 val json_of_outcome : int -> outcome -> Obs.Json.t

@@ -28,14 +28,12 @@ let all_subsets =
 
 (* One cache is shared across the whole configuration matrix, exactly as
    the daemon shares one across a job stream: later configurations hit
-   entries populated by earlier ones (the keys deliberately exclude the
-   worker count), and every cached verdict — first-touch or hit — must
+   entries populated by earlier ones, and every cached verdict — first-touch or hit — must
    render identically to the cache-free engine's. *)
 let cached_equals_uncached =
   QCheck.Test.make ~count:6
     ~name:
-      "cached verdicts match uncached ones for every model, pipeline, and \
-       worker count"
+      "cached verdicts match uncached ones for every model and pipeline"
     (QCheck.pair Helpers.arb_proc Helpers.arb_proc)
     (fun (spec, impl) ->
       let cache = Cache.create () in
@@ -52,35 +50,30 @@ let cached_equals_uncached =
           in
           List.for_all
             (fun pipeline ->
+              let config =
+                Check_config.(
+                  default |> with_max_states 50_000
+                  |> with_reductions pipeline |> with_cache cache)
+              in
               List.for_all
-                (fun w ->
-                  let config =
-                    Check_config.(
-                      default |> with_max_states 50_000 |> with_workers w
-                      |> with_reductions pipeline |> with_cache cache)
+                (fun leg ->
+                  let got =
+                    render (Refine.check ~config ~model defs ~spec ~impl)
                   in
-                  List.for_all
-                    (fun leg ->
-                      let got =
-                        render (Refine.check ~config ~model defs ~spec ~impl)
-                      in
-                      if String.equal expected got then true
-                      else
-                        QCheck.Test.fail_reportf
-                          "%s leg diverged (reductions=%s workers=%d \
-                           model=%s):@.uncached: %s@.cached:   \
-                           %s@.spec=%s@.impl=%s"
-                          leg
-                          (Reduce.pipeline_to_string pipeline)
-                          w
-                          (match model with
-                           | Refine.Traces -> "T"
-                           | Refine.Failures -> "F"
-                           | Refine.Failures_divergences -> "FD")
-                          expected got (Proc.to_string spec)
-                          (Proc.to_string impl))
-                    [ "cold"; "warm" ])
-                [ 1; 2; 4 ])
+                  if String.equal expected got then true
+                  else
+                    QCheck.Test.fail_reportf
+                      "%s leg diverged (reductions=%s model=%s):@.uncached: \
+                       %s@.cached:   %s@.spec=%s@.impl=%s"
+                      leg
+                      (Reduce.pipeline_to_string pipeline)
+                      (match model with
+                       | Refine.Traces -> "T"
+                       | Refine.Failures -> "F"
+                       | Refine.Failures_divergences -> "FD")
+                      expected got (Proc.to_string spec)
+                      (Proc.to_string impl))
+                [ "cold"; "warm" ])
             all_subsets)
         [ Refine.Traces; Refine.Failures; Refine.Failures_divergences ])
 

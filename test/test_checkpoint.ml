@@ -1,7 +1,7 @@
 (* Crash-safe checking: the checkpoint/resume machinery must be invisible
    in the verdicts. Interrupting a search — by pair budget, cancellation
    token, or heap watermark — and resuming from the checkpoint (JSON
-   round-tripped, at any worker count) must reproduce the uninterrupted
+   round-tripped) must reproduce the uninterrupted
    run's verdict, counterexample, and structural stats byte for byte; a
    checkpoint replayed against the wrong model must be refused. *)
 
@@ -9,8 +9,8 @@ open Csp
 
 let check_string = Alcotest.(check string)
 
-(* Same canonical rendering as test_search_par: everything but the
-   timing/pool fields, which legitimately vary. *)
+(* Canonical rendering: everything but the timing fields, which
+   legitimately vary from run to run. *)
 let render result =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
@@ -26,8 +26,6 @@ let render result =
        Refine.pp_resume_hint hint);
   Format.pp_print_flush ppf ();
   Buffer.contents buf
-
-let worker_counts = [ 1; 2; 4 ]
 
 (* Serialize + reparse, as every consumer of a checkpoint file does. *)
 let roundtrip cp =
@@ -127,13 +125,12 @@ let interrupt_resume_equals_uninterrupted =
              checkpoint machinery, whose pacing and pair counts are those
              of the raw engine (reduced-vs-raw equivalence has its own
              suite in test_reduce) *)
-          let config w =
+          let config =
             Check_config.(
-              default |> with_max_states 50_000 |> with_workers w
-              |> with_reductions [])
+              default |> with_max_states 50_000 |> with_reductions [])
           in
           let expected =
-            render (Refine.check ~config:(config 1) ~model defs ~spec ~impl)
+            render (Refine.check ~config ~model defs ~spec ~impl)
           in
           let cut_config =
             Check_config.(
@@ -142,20 +139,14 @@ let interrupt_resume_equals_uninterrupted =
           in
           match Refine.check ~config:cut_config ~model defs ~spec ~impl with
           | Refine.Inconclusive (_, { Refine.checkpoint = Some cp; _ }) ->
-            let cp = roundtrip cp in
-            List.for_all
-              (fun w ->
-                let got =
-                  render
-                    (Refine.resume ~config:(config w) ~model ~checkpoint:cp
-                       defs ~spec ~impl)
-                in
-                if String.equal expected got then true
-                else
-                  QCheck.Test.fail_reportf
-                    "resume at workers=%d diverged:@.full: %s@.resumed: %s" w
-                    expected got)
-              worker_counts
+            let got =
+              render
+                (Refine.resume ~config ~model ~checkpoint:(roundtrip cp) defs
+                   ~spec ~impl)
+            in
+            String.equal expected got
+            || QCheck.Test.fail_reportf
+                 "resume diverged:@.full: %s@.resumed: %s" expected got
           | other ->
             (* the cut did not bite (model smaller than the budget, or the
                exhaustion predates any interned pair): the budgeted result
@@ -189,14 +180,10 @@ let test_cancel_token_checkpoint_resume () =
     ->
     Alcotest.(check bool) "interrupt stopped the search early" true
       (stats.Refine.pairs < 4096);
-    List.iter
-      (fun w ->
-        let config = Check_config.(raw |> with_workers w) in
-        check_string
-          (Printf.sprintf "resumed verdict at workers=%d" w)
-          expected
-          (render (Refine.resume ~config ~checkpoint:(roundtrip cp) defs ~spec ~impl)))
-      worker_counts
+    check_string "resumed verdict" expected
+      (render
+         (Refine.resume ~config:raw ~checkpoint:(roundtrip cp) defs ~spec
+            ~impl))
   | other ->
     Alcotest.failf "expected an interrupt checkpoint, got: %s" (render other)
 

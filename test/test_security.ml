@@ -325,11 +325,24 @@ let test_ns_budgeted () =
   | Refine.Fails _ -> Alcotest.fail "the fixed protocol must not fail"
 
 let test_ns_attack_found () =
-  (* sanity: without the fix and without a deadline, Lowe's attack appears *)
+  (* without the fix and without a deadline, Lowe's attack appears — and
+     the BFS makes it the unique minimal trace, pinned event for event:
+     a runs with the intruder, who replays a's first message to b *)
   match Security.Ns_protocol.check ~fixed:false () with
   | Refine.Fails cex ->
-    check_bool "attack trace nonempty" true
-      (List.length cex.Refine.trace > 0)
+    Alcotest.(check (list string))
+      "Lowe's attack trace"
+      [
+        "running.a.i";
+        "send.a.i.(aenc.(pk.i).(msg1.(nonce.0).a))";
+        "recv.b.(aenc.(pk.b).(msg1.(nonce.0).a))";
+        "send.b.a.(aenc.(pk.a).(msg2.(nonce.0).(nonce.1)))";
+        "recv.a.(aenc.(pk.a).(msg2.(nonce.0).(nonce.1)))";
+        "send.a.i.(aenc.(pk.i).(msg3.(nonce.1)))";
+        "recv.b.(aenc.(pk.b).(msg3.(nonce.1)))";
+        "commit.b.a";
+      ]
+      (List.map Event.label_to_string cex.Refine.trace)
   | Refine.Holds _ | Refine.Inconclusive _ ->
     Alcotest.fail "expected Lowe's man-in-the-middle attack"
 

@@ -173,6 +173,47 @@ let lint_digest path contents =
   in
   scan 0
 
+(* Domain discipline: parallelism lives only where the work is
+   independent — whole assertions ([cspm/check.ml]), trace streams
+   ([csp/tracecheck.ml], [serve/trace_run.ml]) and the daemon's stdin
+   reader ([serve/runner.ml]). The product search is one sequential loop
+   and must not silently grow a domain pool again. Textual, like the
+   other discipline lints. *)
+let spawn_allowed =
+  [ "cspm/check.ml"; "csp/tracecheck.ml"; "serve/trace_run.ml";
+    "serve/runner.ml" ]
+
+let may_spawn path =
+  let parent = Filename.basename (Filename.dirname path) in
+  List.mem (parent ^ "/" ^ Filename.basename path) spawn_allowed
+
+let lint_spawn path contents =
+  let n = String.length contents in
+  let line_of pos =
+    let l = ref 1 in
+    String.iteri (fun j c -> if j < pos && c = '\n' then incr l) contents;
+    !l
+  in
+  let name = "Domain.spawn" in
+  let ln = String.length name in
+  let rec scan from =
+    if from < n then
+      match String.index_from_opt contents from name.[0] with
+      | None -> ()
+      | Some i ->
+        if
+          i + ln <= n
+          && String.sub contents i ln = name
+          && (i = 0 || not (is_ident_char contents.[i - 1]))
+          && (i + ln = n || not (is_ident_char contents.[i + ln]))
+        then
+          complain path (line_of i)
+            "Domain.spawn outside the assertion, trace-stream and daemon \
+             reader fan-outs (keep the product search sequential)";
+        scan (i + 1)
+  in
+  scan 0
+
 (* Durable-output discipline: [lib/serve] owns file writing — [Fsio] for
    the atomic + durable primitive, [Trace_io] for the NDJSON corpus
    codec on top of it. An [open_out] anywhere else under lib/ is a
@@ -373,6 +414,7 @@ let lint_file ~strict path =
         lint_writers path contents
       end;
       if not (under_cache path) then lint_digest path contents;
+      if not (may_spawn path) then lint_spawn path contents;
       if under_csp path && not (defines_identity path) then
         lint_poly_compare path contents
     end
