@@ -474,7 +474,9 @@ let ablations () =
             Csp.Lts.compile defs
               (Csp.Proc.run (Csp.Eventset.chans [ "send"; "recv" ]))
           in
-          Csp.Normalise.normalise spec_lts);
+          let norm = Csp.Normalise.normalise spec_lts in
+          Csp.Normalise.force norm;
+          norm);
       (* interning ablation: O(1) hash-consed ids vs the deep structural
          hashing the ids replace, on a full product check *)
       bench "hashcons_id_interning" (fun () ->

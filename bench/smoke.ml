@@ -360,7 +360,7 @@ let check_trace_stream () =
     (fun required ->
       if not (List.mem required !spans) then
         fail "trace smoke: no %S span in the stream" required)
-    [ "lts.compile"; "normalise"; "search.product" ];
+    [ "reduce.compile_staged"; "normalise"; "search.product" ];
   Format.printf "trace stream: %d lines, %d spans — parseable@." !lines
     (List.length !spans)
 
@@ -456,6 +456,7 @@ let check_tracecheck_throughput () =
   (* synthesize valid streams by walking the spec's own normal form, so
      every verdict must come back Accepted *)
   let norm = Csp.Normalise.normalise (Csp.Lts.compile defs spec) in
+  Csp.Normalise.force norm;
   let stream i len =
     let labels = ref [] in
     let node = ref (Csp.Normalise.initial norm) in

@@ -253,7 +253,15 @@ let run path max_states timeout jobs list_only dot format progress trace_out
                 | None -> (0, None, [])
               in
               let outcomes, stop =
-                Cspm.Check.run_seq ~start ?resume_first ~config loaded
+                (* the replay validates the checkpoint's visit order; a
+                   mismatch is a bad --resume file, like a digest
+                   mismatch above *)
+                try Cspm.Check.run_seq ~start ?resume_first ~config loaded
+                with Csp.Search.Resume_mismatch msg ->
+                  Format.eprintf "%s: %s@."
+                    (Option.value resume_file ~default:"--resume")
+                    msg;
+                  exit 2
               in
               if !ticked then Printf.eprintf "\n%!";
               let rendered_new =

@@ -39,8 +39,9 @@ type t = {
       (** live progress callback, throttled to the engine's deadline-poll
           cadence (once per 256 dequeues) *)
   cancel : (unit -> bool) option;
-      (** cancellation token, polled at the same cadence: once it returns
-          [true] the product search stops with [Inconclusive]
+      (** cancellation token, polled at the same cadence (and once per 256
+          expanded specification states): once it returns [true] the
+          product search stops with [Inconclusive]
           ([Interrupt]) and a checkpoint in the hint — the hook the CLIs
           use to turn SIGINT/SIGTERM into a flushed checkpoint *)
   memory_limit_mb : int option;

@@ -618,24 +618,48 @@ let restrict_reachable (lts : Lts.t) =
                  lts.Lts.transitions.(Dyn.get order k)));
     }
 
-(* The labels the specification is insensitive to: visible labels with a
-   self-loop at every normal-form node. Such a label can never move the
-   spec, cause a violation, or mask one. *)
-let spec_free_labels norm =
-  let n = Normalise.num_nodes norm in
-  let counts = Label_tbl.create 32 in
-  for node = 0 to n - 1 do
-    List.iter
-      (fun (l, j) ->
-        match l with
-        | Event.Vis _ when j = node ->
-          Label_tbl.replace counts l
-            (1 + Option.value (Label_tbl.find_opt counts l) ~default:0)
-        | _ -> ())
-      (Normalise.afters norm node)
-  done;
+(* The candidates the specification is insensitive to: visible labels
+   with a self-loop at every normal-form node. Such a label can never move
+   the spec, cause a violation, or mask one. The walk runs over a view of
+   [norm], so it never numbers the search's nodes; it visits nodes in
+   discovery order, drops a candidate at the first node without its
+   self-loop, and expands a node's successors only while some candidate
+   survives — a spec that is sensitive to every candidate is walked no
+   further than it has to be. *)
+let spec_free_labels norm candidates =
+  let view = Normalise.view norm in
+  let rec walk i live =
+    if live = [] || i >= Normalise.num_nodes view then live
+    else
+      let live =
+        List.filter (fun l -> Normalise.after view i l = Some i) live
+      in
+      if live <> [] then ignore (Normalise.afters view i);
+      walk (i + 1) live
+  in
+  let candidates =
+    List.sort_uniq Event.compare_label
+      (List.filter
+         (fun l -> match l with Event.Vis _ -> true | _ -> false)
+         candidates)
+  in
+  if candidates = [] then []
+  else walk (Normalise.initial view) candidates
+
+(* The visible labels of a graph, as a set. *)
+let free_label_set norm (lts : Lts.t) =
+  let visible = Label_tbl.create 32 in
+  Array.iter
+    (List.iter (fun (l, _) ->
+         match l with
+         | Event.Vis _ -> Label_tbl.replace visible l ()
+         | Event.Tau | Event.Tick -> ()))
+    lts.Lts.transitions;
   let free = Label_tbl.create 32 in
-  Label_tbl.iter (fun l c -> if c = n then Label_tbl.replace free l ()) counts;
+  List.iter
+    (fun l -> Label_tbl.replace free l ())
+    (spec_free_labels norm
+       (Label_tbl.fold (fun l () acc -> l :: acc) visible []));
   free
 
 (* Dead-event hiding (traces only): relabel spec-free events to tau. The
@@ -643,7 +667,7 @@ let spec_free_labels norm =
    node never moved on these labels anyway), and tau compression can then
    collapse the runs they formed. *)
 let hide_dead ~norm (lts : Lts.t) =
-  let free = spec_free_labels norm in
+  let free = free_label_set norm lts in
   if Label_tbl.length free = 0 then lts
   else
     {
@@ -966,7 +990,7 @@ let changed_component t u =
   | _ -> None
 
 let por_hooks ~norm lts =
-  let free = spec_free_labels norm in
+  let free = free_label_set norm lts in
   let por_spec_free = function
     | Event.Tau -> true
     | Event.Tick -> false

@@ -109,10 +109,26 @@ val apply :
 (** Run the graph passes of the pipeline (in {!effective} order; [Por] is
     ignored here) over an implementation graph, against the normalised
     specification [norm]. Returns the reduced graph and one stat per pass
-    run, in application order. *)
+    run, in application order. The dead-event pass reads the spec through
+    {!spec_free_labels}, so [norm]'s own nodes are left untouched.
+    @raise Normalise.Out_of_budget when that walk exceeds the spec's
+    budgets. *)
+
+val spec_free_labels : Normalise.t -> Event.label list -> Event.label list
+(** [spec_free_labels norm candidates]: the visible candidates the
+    specification self-loops on at every node of its normal form, sorted.
+    The walk runs over a {!Normalise.view}, never over [norm] itself (the
+    product search alone numbers its nodes), in discovery order; it drops
+    a candidate at the first node without that self-loop and stops
+    expanding once none is left, so the whole normal form is built only
+    when some candidate survives.
+    @raise Normalise.Out_of_budget when the walk exceeds the spec's
+    budgets. *)
 
 val por_hooks : norm:Normalise.t -> Lts.t -> Search.por
 (** Build the ample-set hooks for a compiled implementation graph:
     transition grouping by independent interleaved component (derived from
     the state terms' [Inter] spines, looking through common [Hide]/[Rename]
-    wrappers) and the spec-free label predicate. *)
+    wrappers) and the spec-free label predicate, over the graph's visible
+    labels ({!spec_free_labels}).
+    @raise Normalise.Out_of_budget as {!spec_free_labels}. *)

@@ -54,22 +54,6 @@ type model =
 
 let visible_trace = Search.visible_trace
 
-(* Partial specification compilation cannot support a verdict: report it
-   as inconclusive, attributing the exhausted budget. *)
-let spec_inconclusive progress =
-  let exhausted =
-    match progress.Lts.reason with `States -> States | `Deadline -> Deadline
-  in
-  Inconclusive
-    ( Search.make_stats ~impl_states:0 ~spec_nodes:progress.Lts.explored
-        ~pairs:0 (),
-      {
-        frontier = progress.Lts.frontier;
-        deepest = [];
-        exhausted;
-        checkpoint = None;
-      } )
-
 (* The model a refusal mode decides under, for gating reduction passes.
    [`Full] (the determinism check) compares acceptance sets of the same
    process against itself — no reduction pass is proven
@@ -83,10 +67,9 @@ let pass_stat_triples =
   List.map (fun s -> s.Reduce.pass, s.Reduce.states_before, s.Reduce.states_after)
 
 (* Cache-fronted compilation. A hit returns the finished artifact without
-   opening any compile/normalise span — the warm path does no graph work
-   at all. Only [Complete] results are ever stored: a [Partial] graph
-   reflects the budgets of the run that produced it, not the content its
-   key names. *)
+   opening any compile span. Only [Complete] results are ever stored: a
+   [Partial] graph reflects the budgets of the run that produced it, not
+   the content its key names. *)
 
 (* Compile a term to an explicit graph via [Lts.compile_budgeted]. *)
 let cached_graph ~(config : Check_config.t) ?stop_at defs proc =
@@ -107,31 +90,45 @@ let cached_graph ~(config : Check_config.t) ?stop_at defs proc =
         | Lts.Partial _ -> ());
        r)
 
-(* Compile and normalise a specification. Returns the normal form plus the
-   key it is cached under (feeding the reduced-graph key), or the partial
-   progress if the spec ran out of budget. *)
-let cached_spec ~(config : Check_config.t) ?stop_at defs spec =
+(* The specification side of a check: an on-demand normal form private to
+   this check (the search mutates it as it goes), plus the key the spec is
+   cached under (feeding the reduced-graph key). Without a cache the normal
+   form steps the term itself and no graph is compiled; its budgets trip
+   inside the search. With a cache, the spec graph is the cached artifact
+   and every check builds a fresh normal form over it — a hit opens no
+   compile or normalise span. A spec whose graph does not fit the budgets
+   is not cached and falls back to the term. Either way nodes are numbered
+   by the search's own queries, so stats and checkpoints do not depend on
+   the cache. *)
+let spec_normal_form ~(config : Check_config.t) ?stop_at defs spec =
   let obs = config.obs in
-  let compile () =
-    match
-      Lts.compile_budgeted ~max_states:config.max_states ?stop_at ~obs defs
-        spec
-    with
-    | Lts.Partial (_, progress) -> Error progress
-    | Lts.Complete lts -> Ok (lts, Normalise.normalise ~obs lts)
+  let of_term () =
+    Normalise.of_spec ~obs ~max_states:config.max_states ?stop_at
+      ?cancel:config.cancel defs spec
   in
   match config.cache with
-  | None -> Result.map (fun (_, norm) -> norm, None) (compile ())
+  | None -> of_term (), None
   | Some cache ->
     let key = Cache.spec_key ~max_states:config.max_states defs spec in
-    (match Cache.find cache key with
-     | Some (Cache.Norm_spec (_, norm)) -> Ok (norm, Some key)
-     | Some _ | None ->
-       Result.map
-         (fun (lts, norm) ->
-           Cache.add cache key (Cache.Norm_spec (lts, norm));
-           norm, Some key)
-         (compile ()))
+    let norm =
+      match Cache.find cache key with
+      | Some (Cache.Norm_spec (lts, _)) -> Normalise.normalise lts
+      | Some _ | None ->
+        (match
+           Lts.compile_budgeted ~max_states:config.max_states ?stop_at ~obs
+             defs spec
+         with
+         | Lts.Complete lts ->
+           Cache.add cache key (Cache.Norm_spec (lts, Normalise.normalise lts));
+           Normalise.normalise ~obs lts
+         | Lts.Partial _ -> of_term ())
+    in
+    norm, Some key
+
+(* The final [normalise.nodes] counter: nodes the check materialised. *)
+let record_nodes ~obs norm result =
+  Obs.add (Obs.counter obs "normalise.nodes") (Normalise.num_nodes norm);
+  result
 
 let with_reduction_stats reductions = function
   | Holds stats -> Holds { stats with reductions }
@@ -141,149 +138,155 @@ let with_reduction_stats reductions = function
 let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
     ?resume_from defs ~spec ~impl =
   let obs = config.obs in
-  match cached_spec ~config ?stop_at defs spec with
-  | Error progress -> spec_inconclusive progress
-  | Ok (norm, spec_cache_key) ->
-    (* The unreduced engine: implementation states generated on the fly.
-       Used when no pass applies, when the staged compile degrades, and to
-       re-derive counterexamples found on a reduced graph. *)
-    let raw_search ?resume_from () =
-      let fenv = Defs.fenv defs in
-      let tys = Defs.ty_lookup defs in
-      let impl0 = Proc.const_fold ~tys fenv impl in
-      let source =
-        Search.proc_source ~interner:config.interner
-          ~make_step:(fun () -> Semantics.make_cached ~obs defs)
-          impl0
-      in
-      Search.product ~refusal:refusal_mode ~max_pairs ?stop_at ~obs
-        ?progress:config.progress ?cancel:config.cancel
-        ?memory_limit_mb:config.memory_limit_mb ?resume_from
-        ?resume_deadline:config.deadline ~norm source
+  let norm, spec_cache_key = spec_normal_form ~config ?stop_at defs spec in
+  (* The unreduced engine: implementation states generated on the fly.
+     Used when no pass applies, when the staged compile degrades, and to
+     re-derive counterexamples found on a reduced graph. *)
+  let raw_search ?resume_from () =
+    let fenv = Defs.fenv defs in
+    let tys = Defs.ty_lookup defs in
+    let impl0 = Proc.const_fold ~tys fenv impl in
+    let source =
+      Search.proc_source ~interner:config.interner
+        ~make_step:(fun () -> Semantics.make_cached ~obs defs)
+        impl0
     in
-    let pipeline =
-      match model_of_refusal refusal_mode with
-      | None -> []
-      | Some model -> Reduce.effective ~model config.reductions
-    in
-    (* A checkpoint names the engine that recorded it. One recorded by
-       the raw engine — including the raw fallback of a reduced run whose
-       staged compile ran out of deadline — resumes on the raw path
-       regardless of [config.reductions]; one recorded by a reduced
-       search must be resumed by the same pipeline, and [Search.product]
-       raises [Resume_mismatch] below if it is not. *)
-    let pipeline =
-      match resume_from with
-      | Some cp when String.equal cp.Search.pipeline "none" -> []
-      | Some _ | None -> pipeline
-    in
-    (match pipeline, model_of_refusal refusal_mode with
-     | [], _ | _, None -> raw_search ?resume_from ()
-     | pipeline, Some model ->
-       let fp = Reduce.fingerprint pipeline in
-       (* Key the staged and reduced artifacts when a cache is configured.
-          The reduced key includes the spec key: the dead pass eliminates
-          events against the spec's normal-form alphabet, so the same
-          implementation reduced against a different spec is a different
-          artifact. *)
-       let cache_keys =
-         match config.cache, spec_cache_key with
-         | Some cache, Some spec_key ->
-           let impl_key =
-             Cache.impl_key ~max_states:config.max_states defs impl
+    Search.product ~refusal:refusal_mode ~max_pairs ?stop_at ~obs
+      ?progress:config.progress ?cancel:config.cancel
+      ?memory_limit_mb:config.memory_limit_mb ?resume_from
+      ?resume_deadline:config.deadline ~norm source
+  in
+  let pipeline =
+    match model_of_refusal refusal_mode with
+    | None -> []
+    | Some model -> Reduce.effective ~model config.reductions
+  in
+  (* A checkpoint names the engine that recorded it. One recorded by
+     the raw engine — including the raw fallback of a reduced run whose
+     staged compile ran out of deadline — resumes on the raw path
+     regardless of [config.reductions]; one recorded by a reduced
+     search must be resumed by the same pipeline, and [Search.product]
+     raises [Resume_mismatch] below if it is not. *)
+  let pipeline =
+    match resume_from with
+    | Some cp when String.equal cp.Search.pipeline "none" -> []
+    | Some _ | None -> pipeline
+  in
+  record_nodes ~obs norm
+  @@ match pipeline, model_of_refusal refusal_mode with
+   | [], _ | _, None -> raw_search ?resume_from ()
+   | pipeline, Some model ->
+     let fp = Reduce.fingerprint pipeline in
+     (* Key the staged and reduced artifacts when a cache is configured.
+        The reduced key includes the spec key: the dead pass eliminates
+        events against the spec's normal-form alphabet, so the same
+        implementation reduced against a different spec is a different
+        artifact. *)
+     let cache_keys =
+       match config.cache, spec_cache_key with
+       | Some cache, Some spec_key ->
+         let impl_key =
+           Cache.impl_key ~max_states:config.max_states defs impl
+         in
+         let reduced_key =
+           Cache.reduced_key ~model ~pipeline ~spec:spec_key
+             ~impl:impl_key
+         in
+         Some (cache, impl_key, reduced_key)
+       | _ -> None
+     in
+     let reduced_hit =
+       match cache_keys with
+       | Some (cache, _, reduced_key) ->
+         (match Cache.find cache reduced_key with
+          | Some (Cache.Reduced (g, stats)) -> Some (g, stats)
+          | Some _ | None -> None)
+       | None -> None
+     in
+     let reduction =
+       match reduced_hit with
+       | Some _ -> reduced_hit
+       | None ->
+         let staged () =
+           match resume_from with
+           | Some _ ->
+             (* A checkpoint recorded against this pipeline implies the
+                staged compile completed; rebuild it deterministically,
+                with no deadline or cancellation mid-compile. *)
+             Reduce.compile_staged ~max_states:config.max_states ~obs
+               defs impl
+           | None ->
+             Reduce.compile_staged ~max_states:config.max_states ?stop_at
+               ?cancel:config.cancel ~obs defs impl
+         in
+         let compiled =
+           match cache_keys with
+           | Some (cache, impl_key, _) ->
+             (match Cache.find cache impl_key with
+              | Some (Cache.Lts_graph g) -> Lts.Complete g
+              | Some _ | None ->
+                let r = staged () in
+                (match r with
+                 | Lts.Complete g ->
+                   Cache.add cache impl_key (Cache.Lts_graph g)
+                 | Lts.Partial _ -> ());
+                r)
+           | None -> staged ()
+         in
+         (match compiled with
+          | Lts.Partial _ -> None
+          | Lts.Complete impl_lts ->
+            (match Reduce.apply ~obs ~model ~norm pipeline impl_lts with
+             | exception Normalise.Out_of_budget _ ->
+               (* the dead pass could not walk the spec within its
+                  budgets: no reduced graph, nothing cached *)
+               None
+             | reduced, pass_stats ->
+               (match cache_keys with
+                | Some (cache, _, reduced_key) ->
+                  Cache.add cache reduced_key
+                    (Cache.Reduced (reduced, pass_stats))
+                | None -> ());
+               Some (reduced, pass_stats)))
+     in
+     let por reduced =
+       match refusal_mode with
+       | `None when List.memq Reduce.Por pipeline ->
+         Some (Reduce.por_hooks ~norm reduced)
+       | _ -> None
+     in
+     (match reduction with
+      | None ->
+        (* Budget ran out mid-decomposition (or while the reduction
+           walked the spec): fall back to the raw engine, which degrades
+           gracefully (and can still find an early counterexample
+           without the full graph). *)
+        raw_search ?resume_from ()
+      | Some (reduced, pass_stats) ->
+        (match por reduced with
+         | exception Normalise.Out_of_budget _ -> raw_search ?resume_from ()
+         | por ->
+           let source = Search.lts_source ~check_divergence:false reduced in
+           let result =
+             Search.product ~refusal:refusal_mode ~max_pairs ?stop_at ~obs
+               ?progress:config.progress ?cancel:config.cancel
+               ?memory_limit_mb:config.memory_limit_mb ?resume_from
+               ?resume_deadline:config.deadline ?por ~pipeline:fp ~norm
+               source
            in
-           let reduced_key =
-             Cache.reduced_key ~model ~pipeline ~spec:spec_key
-               ~impl:impl_key
-           in
-           Some (cache, impl_key, reduced_key)
-         | _ -> None
-       in
-       let reduced_hit =
-         match cache_keys with
-         | Some (cache, _, reduced_key) ->
-           (match Cache.find cache reduced_key with
-            | Some (Cache.Reduced (g, stats)) -> Some (g, stats)
-            | Some _ | None -> None)
-         | None -> None
-       in
-       let reduction =
-         match reduced_hit with
-         | Some _ -> reduced_hit
-         | None ->
-           let staged () =
-             match resume_from with
-             | Some _ ->
-               (* A checkpoint recorded against this pipeline implies the
-                  staged compile completed; rebuild it deterministically,
-                  with no deadline or cancellation mid-compile. *)
-               Reduce.compile_staged ~max_states:config.max_states ~obs
-                 defs impl
-             | None ->
-               Reduce.compile_staged ~max_states:config.max_states ?stop_at
-                 ?cancel:config.cancel ~obs defs impl
-           in
-           let compiled =
-             match cache_keys with
-             | Some (cache, impl_key, _) ->
-               (match Cache.find cache impl_key with
-                | Some (Cache.Lts_graph g) -> Lts.Complete g
-                | Some _ | None ->
-                  let r = staged () in
-                  (match r with
-                   | Lts.Complete g ->
-                     Cache.add cache impl_key (Cache.Lts_graph g)
-                   | Lts.Partial _ -> ());
-                  r)
-             | None -> staged ()
-           in
-           (match compiled with
-            | Lts.Partial _ -> None
-            | Lts.Complete impl_lts ->
-              let reduced, pass_stats =
-                Reduce.apply ~obs ~model ~norm pipeline impl_lts
-              in
-              (match cache_keys with
-               | Some (cache, _, reduced_key) ->
-                 Cache.add cache reduced_key
-                   (Cache.Reduced (reduced, pass_stats))
-               | None -> ());
-              Some (reduced, pass_stats))
-       in
-       (match reduction with
-        | None ->
-          (* Budget ran out mid-decomposition: fall back to the raw
-             engine, which degrades gracefully (and can still find an
-             early counterexample without the full graph). *)
-          raw_search ?resume_from ()
-        | Some (reduced, pass_stats) ->
-          let por =
-            match refusal_mode with
-            | `None when List.memq Reduce.Por pipeline ->
-              Some (Reduce.por_hooks ~norm reduced)
-            | _ -> None
-          in
-          let source = Search.lts_source ~check_divergence:false reduced in
-          let result =
-            Search.product ~refusal:refusal_mode ~max_pairs ?stop_at ~obs
-              ?progress:config.progress ?cancel:config.cancel
-              ?memory_limit_mb:config.memory_limit_mb ?resume_from
-              ?resume_deadline:config.deadline ?por ~pipeline:fp ~norm
-              source
-          in
-          (match result with
-           | Fails _ ->
-             (* Counterexample canonicalisation: the reduced graph proves
-                a violation exists, but its trace and state term reflect
-                the reduced shape. Re-derive with the raw engine so the
-                reported counterexample is byte-identical to
-                [--reductions none]; if the raw run cannot reach a
-                verdict within the budgets, keep the reduced one. *)
-             (match raw_search () with
-              | Fails _ as raw -> raw
-              | Holds _ | Inconclusive _ -> result)
-           | Holds _ | Inconclusive _ ->
-             with_reduction_stats (pass_stat_triples pass_stats) result)))
+           (match result with
+            | Fails _ ->
+              (* Counterexample canonicalisation: the reduced graph
+                 proves a violation exists, but its trace and state term
+                 reflect the reduced shape. Re-derive with the raw engine
+                 so the reported counterexample is byte-identical to
+                 [--reductions none]; if the raw run cannot reach a
+                 verdict within the budgets, keep the reduced one. *)
+              (match raw_search () with
+               | Fails _ as raw -> raw
+               | Holds _ | Inconclusive _ -> result)
+            | Holds _ | Inconclusive _ ->
+              with_reduction_stats (pass_stat_triples pass_stats) result)))
 
 (* Failures-divergences refinement: both sides are compiled to explicit
    graphs (divergence detection needs the tau-SCCs of the implementation),
@@ -291,9 +294,8 @@ let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
 let fd_check ~(config : Check_config.t) ~max_pairs ?stop_at ?resume_from defs
     ~spec ~impl =
   let obs = config.obs in
-  match cached_spec ~config ?stop_at defs spec with
-  | Error progress -> spec_inconclusive progress
-  | Ok (norm, spec_cache_key) ->
+  let norm, spec_cache_key = spec_normal_form ~config ?stop_at defs spec in
+  record_nodes ~obs norm
     (match cached_graph ~config ?stop_at defs impl with
      | Lts.Partial (_, progress) ->
        (* Divergence detection needs the full tau graph of the
@@ -417,11 +419,12 @@ let failures_refines ?config defs ~spec ~impl =
 let fd_refines ?config defs ~spec ~impl =
   check ?config ~model:Failures_divergences defs ~spec ~impl
 
-(* Resuming recompiles the specification (and, for FD, the implementation)
-   without a deadline — a checkpoint only exists if those compiles
-   completed, and they are deterministic — then hands the checkpoint to
-   the engine, which fast-forwards the replay and arms [config.deadline]
-   (or the checkpoint's unconsumed budget) at the crossing point. *)
+(* Resuming rebuilds the specification's normal form (and, for FD,
+   recompiles the implementation) without a deadline — both are
+   deterministic, and the replay re-expands the spec exactly as the
+   interrupted run did — then hands the checkpoint to the engine, which
+   fast-forwards the replay and arms [config.deadline] (or the
+   checkpoint's unconsumed budget) at the crossing point. *)
 let resume ?(config = Check_config.default) ?model ~checkpoint defs ~spec
     ~impl =
   let model = Option.value model ~default:Traces in

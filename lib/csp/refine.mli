@@ -1,10 +1,13 @@
 (** Refinement checking, FDR-style.
 
     [check ~spec ~impl] decides [spec ⊑ impl] in the traces or
-    stable-failures model by (1) compiling and normalizing the
-    specification, then (2) exploring the product of the implementation's
-    states (generated on the fly) with the normal-form nodes, breadth-first,
-    so a reported counterexample has minimal length.
+    stable-failures model by exploring the product of the implementation's
+    states with the nodes of the specification's normal form,
+    breadth-first, so a reported counterexample has minimal length. Both
+    sides are generated on the fly: the normal form is built on demand
+    ({!Normalise}), one node per label the search follows, so a
+    specification whose full normal form is huge or infinite can still be
+    checked against an implementation that reaches little of it.
 
     Every check is a thin configuration of the shared engine in {!Search};
     this module re-exports the engine's verdict types so existing callers
@@ -98,8 +101,9 @@ val check :
     {!Check_config.default}): [config.max_states] bounds each [Lts]
     compilation, [config.max_pairs] the product exploration (defaulting to
     [max_states]), [config.deadline] is a wall-clock budget in seconds
-    from the start of the call. Exhausting any budget returns
-    {!Inconclusive} rather than raising. At least one state or pair is
+    from the start of the call; specification states interned by the
+    search count against [config.max_states] too. Exhausting any budget
+    returns {!Inconclusive} rather than raising. At least one state or pair is
     always explored before the deadline is consulted, so an
     {!Inconclusive} result always carries non-zero stats.
 
@@ -131,6 +135,22 @@ val check :
     still find an early counterexample without the full graph). The
     determinism check and the graph-based freedom checks always run
     raw. *)
+
+val spec_normal_form :
+  config:Check_config.t ->
+  ?stop_at:float ->
+  Defs.t ->
+  Proc.t ->
+  Normalise.t * string option
+(** The specification side of a check: a fresh on-demand normal form for
+    one consumer, and the spec's cache key when [config.cache] is set.
+    Without a cache it steps the term ({!Normalise.of_spec}, under
+    [config]'s state budget and token and the absolute deadline
+    [stop_at]) and compiles no graph. With one, the compiled spec graph
+    is the cached artifact: a hit opens no compile or normalise span, and
+    a spec whose graph exceeds the budgets falls back to the term. Node
+    numbering depends only on the consumer's queries, never on the
+    cache. *)
 
 val resume :
   ?config:Check_config.t ->
@@ -176,10 +196,11 @@ val failures_refines :
 
 val fd_refines :
   ?config:Check_config.t -> Defs.t -> spec:Proc.t -> impl:Proc.t -> result
-(** Failures-divergences refinement. Unlike the other checks, both sides
-    are fully compiled first (implementation divergence detection needs
-    the whole tau graph), so early counterexample exit does not avoid the
-    full state-space cost. *)
+(** Failures-divergences refinement. Unlike the other checks, the
+    implementation is fully compiled first (divergence detection needs its
+    whole tau graph), so early counterexample exit does not avoid the full
+    implementation state-space cost. The specification is still
+    normalised on demand. *)
 
 val deadlock_free : ?config:Check_config.t -> Defs.t -> Proc.t -> result
 

@@ -150,7 +150,7 @@ type result =
 
 type refusal = [ `None | `Acceptances | `Full ]
 
-type source = {
+type source = Source.t = {
   initial : int;
   step : int -> (Event.label * int) list;
   term_of : int -> Proc.t;
@@ -158,7 +158,7 @@ type source = {
   divergent : (int -> bool) option;
 }
 
-type interner = [ `Id | `Structural ]
+type interner = Source.interner
 
 (* Ample-set partial-order reduction hooks, supplied by [Reduce.por_hooks]
    for precompiled implementation graphs. [por_groups i] partitions the
@@ -212,81 +212,8 @@ let make_stats ?(wall_s = 0.) ?(peak_frontier = 0) ?(reductions = [])
     reductions;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Sources                                                             *)
-(* ------------------------------------------------------------------ *)
-
-module Id_tbl = Hashtbl.Make (struct
-  type t = Proc.t
-
-  let equal = Proc.equal
-  let hash = Proc.hash
-end)
-
-module Structural_tbl = Hashtbl.Make (struct
-  type t = Proc.t
-
-  let equal = Proc.structural_equal
-  let hash = Proc.structural_hash
-end)
-
-(* One polymorphic face over the two intern-table functors, so the
-   interning scheme is selectable at runtime (the structural scheme is the
-   oracle the hash-consed one is tested against). *)
-let proc_interner = function
-  | `Id ->
-    let tbl = Id_tbl.create 1024 in
-    (Id_tbl.find_opt tbl : Proc.t -> int option), Id_tbl.replace tbl
-  | `Structural ->
-    let tbl = Structural_tbl.create 1024 in
-    (Structural_tbl.find_opt tbl, Structural_tbl.replace tbl)
-
-let proc_source ?(interner = `Id) ~make_step term0 =
-  let find_opt, replace = proc_interner interner in
-  let terms = ref (Array.make 1024 term0) in
-  let count = ref 0 in
-  let intern_term term =
-    match find_opt term with
-    | Some i -> i
-    | None ->
-      let i = !count in
-      incr count;
-      if i >= Array.length !terms then begin
-        let bigger = Array.make (2 * i) term0 in
-        Array.blit !terms 0 bigger 0 i;
-        terms := bigger
-      end;
-      !terms.(i) <- term;
-      replace term i;
-      i
-  in
-  let initial = intern_term term0 in
-  let step = make_step () in
-  {
-    initial;
-    step =
-      (fun i -> List.map (fun (l, t) -> l, intern_term t) (step !terms.(i)));
-    term_of = (fun i -> !terms.(i));
-    state_count = (fun () -> !count);
-    divergent = None;
-  }
-
-let lts_source ?(check_divergence = true) lts =
-  let divergent =
-    if check_divergence then begin
-      let bits = Array.make (max 1 (Lts.num_states lts)) false in
-      List.iter (fun i -> bits.(i) <- true) (Lts.divergences lts);
-      Some (fun i -> bits.(i))
-    end
-    else None
-  in
-  {
-    initial = lts.Lts.initial;
-    step = Lts.transitions_of lts;
-    term_of = Lts.state_term lts;
-    state_count = (fun () -> Lts.num_states lts);
-    divergent;
-  }
+let proc_source = Source.of_proc
+let lts_source = Source.of_lts
 
 (* ------------------------------------------------------------------ *)
 (* The engine                                                          *)
@@ -298,11 +225,6 @@ module Pair_tbl = Hashtbl.Make (struct
   let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
   let hash = Hashtbl.hash
 end)
-
-(* One transition of a dequeued pair, matched against the specification. *)
-type edge =
-  | E_step of Event.label * int * int  (* label, successor, spec node *)
-  | E_trace_violation of Event.label  (* the specification forbids it *)
 
 (* Heap watermark for the memory guard, in MiB. [Gc.quick_stat] reads
    counters without walking the heap, so polling it on the dequeue cadence
@@ -456,20 +378,24 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
   (* All degradation triggers ride one cadence: every 256 commits the
      engine polls the cancellation token, the heap watermark, and the
      wall clock (each a function call, a counter read, and a syscall
-     respectively — nothing per-pair). *)
+     respectively — nothing per-pair). The clock is read once more, after
+     the first commit: the specification is expanded inside the search, so
+     a search may start with its deadline already spent. *)
   let check_budgets () =
-    if !explored > 0 && !explored land deadline_poll_mask = 0 then begin
+    let poll = !explored > 0 && !explored land deadline_poll_mask = 0 in
+    if poll then begin
       (match cancel with
        | Some cancelled when cancelled () -> raise (Out_of_budget Interrupt)
        | _ -> ());
-      (match memory_limit_mb with
-       | Some mb when heap_mb () > float_of_int mb ->
-         raise (Out_of_budget Memory)
-       | _ -> ());
+      match memory_limit_mb with
+      | Some mb when heap_mb () > float_of_int mb ->
+        raise (Out_of_budget Memory)
+      | _ -> ()
+    end;
+    if poll || !explored = 1 then
       match !stop_at_r with
       | Some limit when Obs.now () > limit -> raise (Out_of_budget Deadline)
       | _ -> ()
-    end
   in
   (* Progress callbacks and gauge refreshes share the poll cadence; with a
      silent handle and no callback the whole tick is one boolean test per
@@ -539,8 +465,9 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
   (* Ample-set selection. The proviso consults pair ids, which follow
      FIFO interning order = dequeue order. A group G of state [s]'s
      transitions qualifies as ample when:
-     - every edge of [s] is a plain step (no trace violation, no tick):
-       otherwise the violation must be found / the spec must move;
+     - every transition of [s] is a plain step the specification allows
+       (no trace violation, no tick): otherwise the violation must be
+       found / the spec must move;
      - the state's transitions split into >= 2 component groups that
        cover them all (so G is a proper subset);
      - every label of G is invisible to the specification (Tau, or
@@ -549,14 +476,18 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
      - cycle proviso: some successor of G is not yet closed (not interned,
        or interned with a pair id greater than the committing pair's, i.e.
        still queued) — deferring the other groups along a cycle of
-       already-closed states would postpone them forever. *)
+       already-closed states would postpone them forever.
+     Only [Normalise.allows] is consulted, so choosing a group interns no
+     specification node the committed pairs do not reach. *)
   let c_ample = Obs.counter obs "search.por_ample_commits" in
-  let ample p pair_id node edges =
-    let plain_step = function
-      | E_step ((Event.Tau | Event.Vis _), _, _) -> true
-      | E_step (Event.Tick, _, _) | E_trace_violation _ -> false
+  let ample p pair_id node ts =
+    let plain_step (l, _) =
+      match l with
+      | Event.Tau -> true
+      | Event.Vis _ -> Normalise.allows norm node l
+      | Event.Tick -> false
     in
-    if not (List.for_all plain_step edges) then None
+    if not (List.for_all plain_step ts) then None
     else
       match p.por_groups !pair_impl.(pair_id) with
       | [] | [ _ ] -> None
@@ -564,7 +495,7 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
         let total =
           List.fold_left (fun acc g -> acc + List.length g) 0 groups
         in
-        if total <> List.length edges then None
+        if total <> List.length ts then None
         else
           let qualifies g =
             g <> []
@@ -580,8 +511,9 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
   in
   (* Expand and commit one dequeued pair: step its implementation state
      (interning new successors as they are reached), then either report a
-     violation or intern the successor pairs in transition order. [Some
-     result] short-circuits the search. *)
+     violation or intern the successor pairs in transition order, moving
+     the specification one label at a time. [Some result] short-circuits
+     the search. *)
   let explore pair_id =
     last_dequeued := pair_id;
     incr explored;
@@ -603,21 +535,10 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
                  (Refusal_violation { offered; acceptances })
                  impl_i))
        | None ->
-         let edges =
-           List.map
-             (fun (l, j) ->
-               match l with
-               | Event.Tau -> E_step (l, j, node)
-               | Event.Tick | Event.Vis _ ->
-                 (match Normalise.after norm node l with
-                  | Some node' -> E_step (l, j, node')
-                  | None -> E_trace_violation l))
-             ts
-         in
          let chosen =
            match por with
            | Some p when refusal = `None && source.divergent = None ->
-             ample p pair_id node edges
+             ample p pair_id node ts
            | _ -> None
          in
          (match chosen with
@@ -631,19 +552,23 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
             None
           | None ->
             List.find_map
-              (function
-                | E_step (l, j, node') ->
-                  intern_pair (Some (l, pair_id)) (j, node');
+              (fun (l, j) ->
+                match l with
+                | Event.Tau ->
+                  intern_pair (Some (l, pair_id)) (j, node);
                   None
-                | E_trace_violation l ->
-                  Some
-                    (Fails
-                       (counterexample pair_id [ l ] (Trace_violation l)
-                          impl_i)))
-              edges))
+                | Event.Tick | Event.Vis _ ->
+                  (match Normalise.after norm node l with
+                   | Some node' ->
+                     intern_pair (Some (l, pair_id)) (j, node');
+                     None
+                   | None ->
+                     Some
+                       (Fails
+                          (counterexample pair_id [ l ] (Trace_violation l)
+                             impl_i))))
+              ts))
   in
-  intern_pair None (source.initial, Normalise.initial norm);
-  note_boundary ();
   let rec search () =
     (* an empty queue is a completed search: the verdict stands even if
        the deadline expired while reaching it *)
@@ -659,8 +584,31 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
         search ()
     end
   in
-  try
-    let result = Obs.span obs "search.product" search in
+  let start () =
+    intern_pair None (source.initial, Normalise.initial norm);
+    note_boundary ();
+    search ()
+  in
+  (* The specification is expanded on demand, so its budgets trip inside
+     the search too; they stop it like the engine's own. *)
+  let spec_kind = function
+    | `States -> States
+    | `Deadline -> Deadline
+    | `Interrupt -> Interrupt
+  in
+  match
+    Obs.span obs "search.product" (fun () ->
+        try Ok (start ()) with
+        | Out_of_budget kind ->
+          (* A [Pairs] exhaustion is raised on the pair that failed to
+             intern; it is discovered-but-unexplored work, so it counts as
+             frontier. *)
+          Error (kind, match kind with Pairs -> 1 | _ -> 0)
+        | Normalise.Out_of_budget kind ->
+          (* so is the pair whose expansion the spec side cut short *)
+          Error (spec_kind kind, 1))
+  with
+  | Ok result ->
     (* A terminal verdict while still fast-forwarding means the replay ran
        out of states before the recorded position — the checkpoint cannot
        belong to this search. Refuse rather than return the wrong model's
@@ -676,12 +624,8 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
                !explored cp.explored))
      | None -> ());
     result
-  with Out_of_budget kind ->
-    (* A [Pairs] exhaustion is raised on the pair that failed to intern;
-       it is discovered-but-unexplored work, so it counts as frontier. *)
-    let frontier =
-      Queue.length queue + (match kind with Pairs -> 1 | _ -> 0)
-    in
+  | Error (kind, unfinished) ->
+    let frontier = Queue.length queue + unfinished in
     let cp : checkpoint =
       {
         explored = !b_explored;

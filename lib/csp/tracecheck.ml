@@ -1,10 +1,11 @@
 (* Streaming trace containment over the specification's normal form.
 
-   [Normalise.after] is a linear scan of the node's edge list — fine for
-   the product search, which consults it once per explored pair, but a
-   trace checker consults it once per logged event. [compile] therefore
-   freezes the normal form into per-node hash tables keyed by label, so
-   a step is one hashtable probe regardless of branching factor. *)
+   [Normalise.after] builds nodes on demand and searches a node's edges —
+   fine for the product search, which consults it once per explored pair,
+   but a trace checker consults it once per logged event. [compile]
+   therefore builds the complete normal form and freezes it into per-node
+   hash tables keyed by label, so a step is one hashtable probe regardless
+   of branching factor. *)
 
 module Label_tbl = Hashtbl.Make (struct
   type t = Event.label
@@ -32,6 +33,9 @@ let alphabet t =
     (Hashtbl.fold (fun c () acc -> c :: acc) t.chans [])
 
 let of_norm ?alphabet:alpha norm =
+  (* the tables below are sized once, so the normal form must be complete
+     before they are *)
+  Normalise.force norm;
   let n = Normalise.num_nodes norm in
   let edges = Array.init n (fun _ -> Label_tbl.create 4) in
   let expected = Array.make n [] in
@@ -56,45 +60,25 @@ let of_norm ?alphabet:alpha norm =
   done;
   { edges; expected; terminal; chans; initial = Normalise.initial norm }
 
-(* Cache-fronted compile, the [Refine.cached_spec] pattern: only
-   [Complete] results are stored, and a hit skips the compile/normalise
-   spans entirely. *)
+(* The spec's normal form comes from [Refine.spec_normal_form], fronted by
+   the cache exactly as a refinement check's is; the checker builds it
+   whole, then freezes it. *)
 let compile ?(config = Check_config.default) ?alphabet defs spec =
-  let obs = config.Check_config.obs in
-  let budget_error (progress : Lts.progress) =
+  let norm, _ = Refine.spec_normal_form ~config defs spec in
+  match of_norm ?alphabet norm with
+  | checker ->
+    Obs.add
+      (Obs.counter config.Check_config.obs "normalise.nodes")
+      (Normalise.num_nodes norm);
+    Ok checker
+  | exception Normalise.Out_of_budget kind ->
     Error
-      (Printf.sprintf
-         "specification graph exceeded its %s budget (%d states explored)"
-         (match progress.Lts.reason with
+      (Printf.sprintf "specification exceeded its %s budget (max %d states)"
+         (match kind with
           | `States -> "state"
-          | `Deadline -> "deadline")
-         progress.Lts.explored)
-  in
-  let fresh () =
-    match
-      Lts.compile_budgeted ~max_states:config.Check_config.max_states ~obs
-        defs spec
-    with
-    | Lts.Partial (_, progress) -> budget_error progress
-    | Lts.Complete lts -> Ok (lts, Normalise.normalise ~obs lts)
-  in
-  let norm =
-    match config.Check_config.cache with
-    | None -> Result.map snd (fresh ())
-    | Some cache ->
-      let key =
-        Cache.spec_key ~max_states:config.Check_config.max_states defs spec
-      in
-      (match Cache.find cache key with
-       | Some (Cache.Norm_spec (_, norm)) -> Ok norm
-       | Some _ | None ->
-         Result.map
-           (fun (lts, norm) ->
-             Cache.add cache key (Cache.Norm_spec (lts, norm));
-             norm)
-           (fresh ()))
-  in
-  Result.map (fun norm -> of_norm ?alphabet norm) norm
+          | `Deadline -> "deadline"
+          | `Interrupt -> "interrupt")
+         config.Check_config.max_states)
 
 type verdict =
   | Accepted

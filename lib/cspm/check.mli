@@ -114,7 +114,10 @@ val json_of_outcomes : ?cache:Csp.Cache.stats -> outcome list -> Obs.Json.t
     "evictions", "resident_states", "resident_entries"}], present when
     the run used an LTS cache). ["workers"] and ["par_speedup"] are the
     constants [1] and [1.0]: the product search is sequential, and the
-    keys stay so existing consumers keep parsing. Timing fields
+    keys stay so existing consumers keep parsing. ["spec_nodes"] counts
+    the normal-form nodes the check materialised: the specification is
+    normalised on demand, so it is the part of the normal form the search
+    reached, not its full size. Timing fields
     ([wall_s], [states_per_sec]) vary run to run; everything else is
     deterministic. *)
 

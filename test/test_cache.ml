@@ -77,6 +77,87 @@ let cached_equals_uncached =
             all_subsets)
         [ Refine.Traces; Refine.Failures; Refine.Failures_divergences ])
 
+(* The search alone numbers the spec's normal-form nodes, whether the
+   normal form steps the term (no cache) or a cached graph (cold, warm):
+   verdicts, counterexamples and every count agree across all four legs,
+   and in the traces model every node the check built was reached by a
+   pair, bar the one whose pair a budget may have refused. *)
+let render_stats = function
+  | Refine.Holds s ->
+    Printf.sprintf "holds %d/%d/%d" s.Refine.impl_states s.Refine.spec_nodes
+      s.Refine.pairs
+  | Refine.Inconclusive (s, _) ->
+    Printf.sprintf "inconclusive %d/%d/%d" s.Refine.impl_states
+      s.Refine.spec_nodes s.Refine.pairs
+  | Refine.Fails _ as r -> render r
+
+let stats_identical_across_cache_legs =
+  QCheck.Test.make ~count:20
+    ~name:"stats match across no cache, cold, warm and workers 2"
+    (QCheck.pair Helpers.arb_proc Helpers.arb_proc)
+    (fun (spec, impl) ->
+      let defs = Helpers.make_defs () in
+      let checks =
+        [
+          ( "T",
+            fun config ->
+              Refine.check ~config ~model:Refine.Traces defs ~spec ~impl );
+          ( "F",
+            fun config ->
+              Refine.check ~config ~model:Refine.Failures defs ~spec ~impl );
+          ( "FD",
+            fun config ->
+              Refine.check ~config ~model:Refine.Failures_divergences defs
+                ~spec ~impl );
+          "det", (fun config -> Refine.deterministic ~config defs impl);
+        ]
+      in
+      List.for_all
+        (fun pipeline ->
+          let base =
+            Check_config.(
+              default |> with_max_states 50_000 |> with_reductions pipeline)
+          in
+          (* a tight pair budget after a full run: a normal form shared
+             with the earlier check would report the earlier check's
+             nodes *)
+          let tight = Check_config.with_max_pairs 3 base in
+          let cache = Cache.create () in
+          List.for_all
+            (fun (name, check) ->
+              let full = check base in
+              let expected = render_stats full in
+              let expected_tight = render_stats (check tight) in
+              (match name, full with
+               | "T", (Refine.Holds s | Refine.Inconclusive (s, _))
+                 when s.Refine.spec_nodes > s.Refine.pairs + 1 ->
+                 QCheck.Test.fail_reportf
+                   "%d spec nodes for %d pairs@.spec=%s@.impl=%s"
+                   s.Refine.spec_nodes s.Refine.pairs (Proc.to_string spec)
+                   (Proc.to_string impl)
+               | _ -> ());
+              List.for_all
+                (fun (leg, config, expected) ->
+                  let got = render_stats (check config) in
+                  String.equal expected got
+                  || QCheck.Test.fail_reportf
+                       "%s leg of %s diverged (reductions=%s):@.no cache: \
+                        %s@.got:      %s@.spec=%s@.impl=%s"
+                       leg name
+                       (Reduce.pipeline_to_string pipeline)
+                       expected got (Proc.to_string spec)
+                       (Proc.to_string impl))
+                [
+                  "cold", Check_config.with_cache cache base, expected;
+                  "warm", Check_config.with_cache cache base, expected;
+                  ( "warm with 3 pairs",
+                    Check_config.with_cache cache tight,
+                    expected_tight );
+                  "workers 2", Check_config.with_workers 2 base, expected;
+                ])
+            checks)
+        [ []; Reduce.default_pipeline ])
+
 (* ------------------------------------------------------------------ *)
 (* Digest invalidation is exactly as wide as reachability              *)
 (* ------------------------------------------------------------------ *)
@@ -329,6 +410,7 @@ let suite =
   ( "cache",
     [
       QCheck_alcotest.to_alcotest cached_equals_uncached;
+      QCheck_alcotest.to_alcotest stats_identical_across_cache_legs;
       Alcotest.test_case "digests invalidate exactly the reachable edits"
         `Quick test_digest_reachability;
       Alcotest.test_case "an edit misses only the component that reaches it"

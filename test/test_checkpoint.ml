@@ -346,6 +346,41 @@ let test_resume_state_rejects_malformed () =
   | Ok json -> reject "a completed/next_index mismatch" json
   | Error msg -> Alcotest.fail msg
 
+(* Spec nodes are numbered by the search alone, so a checkpoint does not
+   remember whether the spec was stepped from its term or from a cached
+   graph: one recorded with a cache resumes byte-identically without, and
+   the other way round. The spec is the 4096-state interleaving itself, so
+   most pairs discover a new normal-form node. *)
+let test_checkpoint_crosses_cache () =
+  let defs, _, impl = big_model () in
+  let spec = impl in
+  List.iter
+    (fun pipeline ->
+      let plain = Check_config.(default |> with_reductions pipeline) in
+      let cached = Check_config.with_cache (Cache.create ()) plain in
+      let expected = render (Refine.check ~config:plain defs ~spec ~impl) in
+      let interrupted config =
+        match
+          Refine.check ~config:(Check_config.with_max_pairs 1000 config) defs
+            ~spec ~impl
+        with
+        | Refine.Inconclusive (_, { Refine.checkpoint = Some cp; _ }) ->
+          roundtrip cp
+        | r -> Alcotest.failf "the pair budget did not bite: %s" (render r)
+      in
+      let cp_plain = interrupted plain and cp_cached = interrupted cached in
+      check_string "the same checkpoint either way"
+        (Obs.Json.to_string (Search.json_of_checkpoint cp_plain))
+        (Obs.Json.to_string (Search.json_of_checkpoint cp_cached));
+      let resumed config checkpoint =
+        render (Refine.resume ~config ~checkpoint defs ~spec ~impl)
+      in
+      check_string "recorded with a cache, resumed without" expected
+        (resumed plain cp_cached);
+      check_string "recorded without a cache, resumed with one" expected
+        (resumed cached cp_plain))
+    [ []; Reduce.default_pipeline ]
+
 let suite =
   ( "checkpoint",
     [
@@ -362,4 +397,6 @@ let suite =
         `Quick test_run_seq_interrupt_and_resume;
       Alcotest.test_case "malformed resume documents are rejected" `Quick
         test_resume_state_rejects_malformed;
+      Alcotest.test_case "checkpoints resume across cache and no cache"
+        `Quick test_checkpoint_crosses_cache;
     ] )

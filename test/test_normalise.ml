@@ -12,6 +12,8 @@ let defs = make_defs ()
 let test_deterministic_spec () =
   let p = send "a" 0 (send "b" 1 Proc.stop) in
   let n = Normalise.normalise (Lts.compile defs p) in
+  (* nodes are built on demand: count them once all are built *)
+  Normalise.force n;
   check_int "three nodes" 3 (Normalise.num_nodes n);
   check_bool "a.0 leads on" true
     (Option.is_some (Normalise.after n (Normalise.initial n) (vis "a" 0)));
@@ -67,6 +69,7 @@ let normalised_is_deterministic =
   QCheck.Test.make ~count:150 ~name:"normal form is deterministic" arb_proc
     (fun p ->
       let n = Normalise.normalise (Lts.compile ~max_states:20_000 defs p) in
+      Normalise.force n;
       let ok = ref true in
       for i = 0 to Normalise.num_nodes n - 1 do
         let labels = List.map fst (Normalise.afters n i) in
@@ -74,6 +77,70 @@ let normalised_is_deterministic =
         if List.length sorted <> List.length labels then ok := false
       done;
       !ok)
+
+(* Lazy nodes only appear when asked for. *)
+let test_on_demand () =
+  let p = send "a" 0 (send "b" 1 (send "c" 0 Proc.stop)) in
+  let n = Normalise.of_spec defs p in
+  check_int "nothing built yet" 0 (Normalise.num_nodes n);
+  let i = Normalise.initial n in
+  check_int "the initial node" 1 (Normalise.num_nodes n);
+  check_bool "allows a.0" true (Normalise.allows n i (vis "a" 0));
+  check_int "allows interns nothing" 1 (Normalise.num_nodes n);
+  ignore (Normalise.after n i (vis "a" 0));
+  check_int "one step, one node" 2 (Normalise.num_nodes n);
+  let v = Normalise.view n in
+  Normalise.force v;
+  check_int "the view is complete" 4 (Normalise.num_nodes v);
+  check_int "the original is untouched" 2 (Normalise.num_nodes n)
+
+(* The lazy [after] walk against the denotational oracle: a label sequence
+   of length <= 6 walks through the on-demand normal form of [p] iff it is
+   a trace of [p]. Every oracle trace is walked, plus random sequences
+   over the whole alphabet (mostly non-traces). *)
+let walk_matches_traces =
+  let alphabet =
+    Event.Tick
+    :: Event.Vis (ev0 "done_")
+    :: List.concat_map
+         (fun (chan, hi) -> List.init (hi + 1) (fun v -> vis chan v))
+         [ "a", 2; "b", 2; "c", 1 ]
+  in
+  let gen_seq = QCheck.Gen.(list_size (int_range 0 6) (oneofl alphabet)) in
+  let arb =
+    QCheck.make
+      ~print:(fun (p, seqs) ->
+        Printf.sprintf "%s with %d sequences" (Proc.to_string p)
+          (List.length seqs))
+      QCheck.Gen.(pair gen_proc (list_size (return 20) gen_seq))
+  in
+  QCheck.Test.make ~count:150 ~name:"lazy after walk accepts exactly Traces"
+    arb (fun (p, seqs) ->
+      match Traces.of_proc ~depth:6 defs p with
+      | exception Traces.Unguarded _ -> QCheck.assume_fail ()
+      | traces ->
+        let n = Normalise.of_spec ~max_states:20_000 defs p in
+        let walks seq =
+          let rec go node = function
+            | [] -> true
+            | l :: rest ->
+              (match Normalise.after n node l with
+               | Some node' -> go node' rest
+               | None -> false)
+          in
+          go (Normalise.initial n) seq
+        in
+        let member seq =
+          List.exists (List.equal Event.equal_label seq) traces
+        in
+        List.for_all
+          (fun seq ->
+            walks seq = member seq
+            || QCheck.Test.fail_reportf "disagree on [%s]: walk=%b oracle=%b"
+                 (String.concat ", "
+                    (List.map (Format.asprintf "%a" Event.pp_label) seq))
+                 (walks seq) (member seq))
+          (traces @ seqs))
 
 let suite =
   ( "normalise",
@@ -84,4 +151,6 @@ let suite =
       Alcotest.test_case "acceptance minimality" `Quick test_minimality;
       Alcotest.test_case "termination flag" `Quick test_can_terminate;
       QCheck_alcotest.to_alcotest normalised_is_deterministic;
+      Alcotest.test_case "nodes are built on demand" `Quick test_on_demand;
+      QCheck_alcotest.to_alcotest walk_matches_traces;
     ] )

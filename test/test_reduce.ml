@@ -253,6 +253,65 @@ let reduced_equals_raw =
         [ Refine.Traces; Refine.Failures; Refine.Failures_divergences ])
 
 (* ------------------------------------------------------------------ *)
+(* The dead-event pass walks the spec only as far as it must          *)
+(* ------------------------------------------------------------------ *)
+
+(* Random specs, half of them interleaved with a RUN over a random set so
+   some labels do self-loop everywhere; random implementations supply the
+   candidates (their visible labels). The early-stopping walk over a view
+   must agree with the eager definition — a self-loop at every node of the
+   forced normal form — restricted to the candidates, and must leave the
+   normal form it was handed untouched. *)
+let spec_free_matches_eager =
+  let gen_spec =
+    QCheck.Gen.(
+      oneof
+        [
+          Helpers.gen_proc;
+          map2
+            (fun p chans -> Proc.inter (p, Proc.run (Eventset.chans chans)))
+            Helpers.gen_proc
+            (oneofl [ [ "a" ]; [ "b" ]; [ "a"; "c" ]; [ "done_" ] ]);
+        ])
+  in
+  QCheck.Test.make ~count:150
+    ~name:"spec_free_labels matches the eager self-loop definition"
+    (QCheck.pair
+       (QCheck.make ~print:Proc.to_string gen_spec)
+       Helpers.arb_proc)
+    (fun (spec, impl) ->
+      let defs = Helpers.make_defs () in
+      let candidates =
+        let g = Lts.compile defs impl in
+        List.concat_map (Lts.initials g) (List.init (Lts.num_states g) Fun.id)
+      in
+      let eager = Normalise.normalise (Lts.compile defs spec) in
+      Normalise.force eager;
+      let self_loops_everywhere l =
+        List.for_all
+          (fun i -> Normalise.after eager i l = Some i)
+          (List.init (Normalise.num_nodes eager) Fun.id)
+      in
+      let expected =
+        List.sort_uniq Event.compare_label
+          (List.filter
+             (fun l ->
+               (match l with Event.Vis _ -> true | _ -> false)
+               && self_loops_everywhere l)
+             candidates)
+      in
+      let norm = Normalise.of_spec defs spec in
+      let got = Reduce.spec_free_labels norm candidates in
+      let show ls =
+        String.concat ", " (List.map (Format.asprintf "%a" Event.pp_label) ls)
+      in
+      (List.equal Event.equal_label expected got
+       || QCheck.Test.fail_reportf "eager [%s] vs walk [%s]@.spec=%s"
+            (show expected) (show got) (Proc.to_string spec))
+      && (Normalise.num_nodes norm = 0
+         || QCheck.Test.fail_reportf "the walk numbered the search's nodes"))
+
+(* ------------------------------------------------------------------ *)
 (* Checkpoints record their pipeline                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -310,6 +369,7 @@ let suite =
       Alcotest.test_case "ample sets prune independent interleavings" `Quick
         test_por_prunes_interleavings;
       QCheck_alcotest.to_alcotest reduced_equals_raw;
+      QCheck_alcotest.to_alcotest spec_free_matches_eager;
       Alcotest.test_case "checkpoints record and enforce their pipeline"
         `Quick test_checkpoint_pipeline_mismatch;
     ] )

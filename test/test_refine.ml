@@ -157,6 +157,92 @@ let counterexample_is_genuine =
         let mem set tr = List.exists (fun t -> List.equal Event.equal_label t tr) set in
         mem ts_impl cex.Refine.trace && not (mem ts_spec cex.Refine.trace))
 
+(* ------------------------------------------------------------------ *)
+(* Specs whose normal form cannot be built in full                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A counter over the unbounded integers that allows [down] only from 2
+   up: its normal form is infinite, so only a search that builds the spec
+   on demand can check anything against it. [DIVERGE] hides an infinite
+   tau chain behind its first node, so all of its time goes into
+   expanding the spec. *)
+let unbounded_script =
+  "channel up, down\n\
+   C(n) = up -> C(n+1) [] n >= 2 & down -> C(n-1)\n\
+   EARLY = up -> down -> STOP\n\
+   FOREVER = up -> FOREVER\n\
+   D(n) = D(n+1) |~| up -> STOP\n"
+
+let unbounded () =
+  let loaded = Cspm.Elaborate.load_string unbounded_script in
+  let proc name args = Proc.call (name, List.map Expr.int args) in
+  loaded.Cspm.Elaborate.defs, proc
+
+let pipelines = [ []; Reduce.default_pipeline ]
+
+let test_unbounded_spec_violation () =
+  let defs, proc = unbounded () in
+  List.iter
+    (fun pipeline ->
+      let config = Check_config.(default |> with_reductions pipeline) in
+      match
+        Refine.check ~config defs ~spec:(proc "C" [ 0 ]) ~impl:(proc "EARLY" [])
+      with
+      | Refine.Fails cex ->
+        Alcotest.(check (list string))
+          "the two-step violation" [ "up"; "down" ]
+          (List.map Event.label_to_string cex.Refine.trace)
+      | r -> Alcotest.failf "expected a violation: %a" Refine.pp_result r)
+    pipelines
+
+let test_unbounded_spec_runs_out () =
+  let defs, proc = unbounded () in
+  List.iter
+    (fun pipeline ->
+      let config =
+        Check_config.(
+          default |> with_reductions pipeline |> with_max_states 300)
+      in
+      match
+        Refine.check ~config defs ~spec:(proc "C" [ 0 ])
+          ~impl:(proc "FOREVER" [])
+      with
+      | Refine.Inconclusive (stats, hint) ->
+        check_bool "a state or pair budget" true
+          (hint.Refine.exhausted = Refine.States
+          || hint.Refine.exhausted = Refine.Pairs);
+        check_bool "exploration on record" true (stats.Refine.pairs > 0)
+      | r -> Alcotest.failf "expected inconclusive: %a" Refine.pp_result r)
+    pipelines
+
+let test_spec_expansion_honours_budgets () =
+  let defs, proc = unbounded () in
+  let spec = proc "D" [ 0 ] and impl = Proc.stop in
+  let roomy = Check_config.(default |> with_max_states 100_000_000) in
+  List.iter
+    (fun pipeline ->
+      let roomy = Check_config.with_reductions pipeline roomy in
+      let t0 = Unix.gettimeofday () in
+      (match
+         Refine.check ~config:(Check_config.with_deadline 0.05 roomy) defs
+           ~spec ~impl
+       with
+       | Refine.Inconclusive (_, hint) ->
+         check_bool "the deadline stopped it" true
+           (hint.Refine.exhausted = Refine.Deadline)
+       | r -> Alcotest.failf "expected a deadline: %a" Refine.pp_result r);
+      check_bool "promptly" true (Unix.gettimeofday () -. t0 < 5.);
+      match
+        Refine.check
+          ~config:(Check_config.with_cancel (fun () -> true) roomy)
+          defs ~spec ~impl
+      with
+      | Refine.Inconclusive (_, hint) ->
+        check_bool "the token stopped it" true
+          (hint.Refine.exhausted = Refine.Interrupt)
+      | r -> Alcotest.failf "expected an interrupt: %a" Refine.pp_result r)
+    pipelines
+
 let suite =
   ( "refine",
     [
@@ -174,4 +260,10 @@ let suite =
       QCheck_alcotest.to_alcotest transitive;
       QCheck_alcotest.to_alcotest agrees_with_trace_subset;
       QCheck_alcotest.to_alcotest counterexample_is_genuine;
+      Alcotest.test_case "an unbounded spec still finds a violation" `Quick
+        test_unbounded_spec_violation;
+      Alcotest.test_case "an unbounded spec runs out of budget" `Quick
+        test_unbounded_spec_runs_out;
+      Alcotest.test_case "spec expansion honours deadline and cancel" `Quick
+        test_spec_expansion_honours_budgets;
     ] )

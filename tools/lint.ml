@@ -214,6 +214,43 @@ let lint_spawn path contents =
   in
   scan 0
 
+(* Normal-form discipline: the specification's normal form is built on
+   demand, node by node, as the product search asks for it. Only the trace
+   checker needs it whole (it freezes every node into tables), so
+   [Normalise.force] under lib/ is confined to [csp/tracecheck.ml]; a check
+   path that forced it would silently go back to eager normalisation.
+   Textual, like the other discipline lints. *)
+let may_force path =
+  let parent = Filename.basename (Filename.dirname path) in
+  String.equal (parent ^ "/" ^ Filename.basename path) "csp/tracecheck.ml"
+
+let lint_force path contents =
+  let n = String.length contents in
+  let line_of pos =
+    let l = ref 1 in
+    String.iteri (fun j c -> if j < pos && c = '\n' then incr l) contents;
+    !l
+  in
+  let name = "Normalise.force" in
+  let ln = String.length name in
+  let rec scan from =
+    if from < n then
+      match String.index_from_opt contents from name.[0] with
+      | None -> ()
+      | Some i ->
+        if
+          i + ln <= n
+          && String.sub contents i ln = name
+          && (i = 0 || not (is_ident_char contents.[i - 1]))
+          && (i + ln = n || not (is_ident_char contents.[i + ln]))
+        then
+          complain path (line_of i)
+            "Normalise.force outside csp/tracecheck (check paths build the \
+             specification's normal form on demand)";
+        scan (i + 1)
+  in
+  scan 0
+
 (* Durable-output discipline: [lib/serve] owns file writing — [Fsio] for
    the atomic + durable primitive, [Trace_io] for the NDJSON corpus
    codec on top of it. An [open_out] anywhere else under lib/ is a
@@ -415,6 +452,7 @@ let lint_file ~strict path =
       end;
       if not (under_cache path) then lint_digest path contents;
       if not (may_spawn path) then lint_spawn path contents;
+      if not (may_force path) then lint_force path contents;
       if under_csp path && not (defines_identity path) then
         lint_poly_compare path contents
     end
