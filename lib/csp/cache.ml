@@ -36,7 +36,10 @@ type persistence = {
 type value =
   | Lts_graph of Lts.t  (** a compiled implementation graph *)
   | Norm_spec of Lts.t * Normalise.t
-      (** a compiled specification graph with its normal form *)
+      (** a compiled specification graph. Normal forms are built on
+          demand and belong to one check, so checks build their own over
+          the graph; the [Normalise.t] is an unqueried one, kept for
+          callers that still construct and match this shape. *)
   | Reduced of Lts.t * Reduce.pass_stat list
       (** an implementation graph after the graph passes of a pipeline *)
 
@@ -443,9 +446,8 @@ let reintern_lts (lts : Lts.t) =
 
 (* What goes to disk: the key (revalidated on load — a digest collision
    or a renamed file must read as a miss, not as a wrong graph) and the
-   graph(s). [Normalise.t] is not persisted: it is derived from the spec
-   graph deterministically and cheaply relative to compilation, so a disk
-   hit recomputes it. *)
+   graph(s). [Normalise.t] is not persisted: an unqueried normal form is
+   just a handle on the spec graph, so a disk hit makes a fresh one. *)
 type disk_value =
   | D_lts of Lts.t
   | D_norm of Lts.t

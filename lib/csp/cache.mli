@@ -42,7 +42,10 @@ type persistence = {
 type value =
   | Lts_graph of Lts.t  (** a compiled implementation graph *)
   | Norm_spec of Lts.t * Normalise.t
-      (** a compiled specification graph with its normal form *)
+      (** a compiled specification graph. Normal forms are built on
+          demand and belong to one check, so checks build their own over
+          the graph; the [Normalise.t] is an unqueried one, kept for
+          callers that still construct and match this shape. *)
   | Reduced of Lts.t * Reduce.pass_stat list
       (** an implementation graph after the graph passes of a pipeline *)
 
@@ -78,8 +81,8 @@ val script_digest : string -> string
 (** Digest of raw script source (daemon job identity, not LTS keying). *)
 
 val spec_key : max_states:int -> Defs.t -> Proc.t -> string
-(** Key of a specification compiled with [Lts.compile_budgeted] and
-    normalised ([Norm_spec]). *)
+(** Key of a specification compiled with [Lts.compile_budgeted]
+    ([Norm_spec]). *)
 
 val impl_key : max_states:int -> Defs.t -> Proc.t -> string
 (** Key of an implementation compiled with [Reduce.compile_staged]
