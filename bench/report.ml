@@ -52,8 +52,8 @@ type row = {
    alone. Dividing by the total row wall instead would fold compile and
    reduction time into the rate and make it incomparable across
    reduction configs: a pass that spends 100 ms shrinking the graph to a
-   few dozen states would report a "slower" engine than the raw run it
-   beats. wall_s (the whole row) and search_wall_s (the span) are both
+   few dozen states would report a "slower" engine than the unreduced
+   run it beats. wall_s (the whole row) and search_wall_s (the span) are both
    recorded so either denominator can be recovered. *)
 let row_of_result name result t ~comparison =
   let impl_states, pairs, search_wall_s, per_sec =
@@ -165,7 +165,7 @@ let multi_ecu_system n =
   defs, spec, impl
 
 (* The trace-containment engine rows. Two families: [tracecheck/stream]
-   measures the raw engine on in-memory streams synthesized by walking
+   measures the bare engine on in-memory streams synthesized by walking
    the NS authentication spec's own normal form (pure cursor stepping —
    no I/O, no parsing), and [tracecheck/ota-corpus] measures the full
    corpus driver (NDJSON parse + frame mapping + cursors) on a generated
@@ -355,7 +355,9 @@ let run_rows () =
   in
   (* Reduction ablation: the stock NS check under no reductions, each
      single pass, and the full default pipeline — the walk EXPERIMENTS.md
-     steps through. The "none" row is the seed engine's number. *)
+     steps through. The "none" row searches the staged tree with no
+     passes; the seed engine's number is in EXPERIMENTS.md and in
+     bench/smoke.ml's reduction gate. *)
   List.iter
     (fun setting ->
       match Csp.Reduce.pipeline_of_string setting with
@@ -496,7 +498,7 @@ let run_rows () =
         (record
            (Printf.sprintf "scale/ecus/n%d" n)
            (fun () -> Csp.Refine.traces_refines defs ~spec ~impl)))
-    (* n8..n12 were out of reach for the raw engine (the monolithic
+    (* n8..n12 were out of reach for the seed engine (the monolithic
        compile re-combines the whole interleaving per state); the staged
        pipeline makes them routine, and the on-demand spec normal form
        (3^n nodes, of which the search reaches 2^n) brings n16 in *)

@@ -42,32 +42,48 @@ let check_budgeted_engine () =
     fail "budget smoke: 1 ms unexpectedly completed the NS check"
   | Csp.Refine.Fails _ -> fail "budget smoke: fixed NS must not fail"
 
+(* The seed engine, composed from the search primitives: the NS
+   implementation term stepped by the operational semantics and interned
+   on the fly, searched with no reduction pass. The checker no longer
+   runs it; it stays the baseline the staged pipeline is measured
+   against, and the oracle the interners are compared on. *)
+let seed_ns_check ?(interner = `Id) ?(max_pairs = 2_000_000) ~fixed () =
+  let defs, system = Security.Ns_protocol.build ~fixed in
+  let spec = Security.Ns_protocol.authentication_spec defs in
+  let impl =
+    Csp.Proc.const_fold ~tys:(Csp.Defs.ty_lookup defs) (Csp.Defs.fenv defs)
+      system
+  in
+  Csp.Search.product ~refusal:`None ~max_pairs
+    ~norm:(Csp.Normalise.of_spec ~max_states:2_000_000 defs spec)
+    (Csp.Search.proc_source ~interner
+       ~make_step:(fun () -> Csp.Semantics.make_cached defs)
+       impl)
+
 let check_reduction_speedup () =
   (* the default reduction pipeline must never make the stock NS check
-     slower than the raw engine it replaces — the tentpole's one-line
-     contract. The raw run takes seconds and the reduced one tens of
+     slower than the seed engine it replaces — the tentpole's one-line
+     contract. The seed run takes seconds and the reduced one tens of
      milliseconds, so a plain comparison has miles of margin. *)
-  let time config =
+  let time run =
     let t0 = Obs.now () in
-    (match Security.Ns_protocol.check ~config ~fixed:true () with
+    (match run () with
      | Csp.Refine.Holds _ -> ()
      | Csp.Refine.Fails _ -> fail "reduction smoke: fixed NS must not fail"
      | Csp.Refine.Inconclusive _ ->
        fail "reduction smoke: unbudgeted NS came back inconclusive");
     Obs.now () -. t0
   in
-  let raw =
-    time
-      Csp.Check_config.(
-        Security.Ns_protocol.default_config |> with_reductions [])
+  let raw = time (seed_ns_check ~fixed:true) in
+  let reduced =
+    time (fun () -> Security.Ns_protocol.check ~fixed:true ())
   in
-  let reduced = time Security.Ns_protocol.default_config in
   if reduced > raw then
     fail
       "reduction smoke: the default pipeline made NS slower (%.0f ms \
-       reduced vs %.0f ms raw)"
+       reduced vs %.0f ms seed engine)"
       (reduced *. 1e3) (raw *. 1e3);
-  Format.printf "reductions: NS %.0f ms raw -> %.0f ms reduced@."
+  Format.printf "reductions: NS %.0f ms seed engine -> %.0f ms reduced@."
     (raw *. 1e3) (reduced *. 1e3)
 
 let digest result =
@@ -82,20 +98,14 @@ let digest result =
       s.Csp.Refine.spec_nodes s.Csp.Refine.pairs
 
 let check_engine_agreement () =
-  (* the unified engine under hash-consed ids must agree with the deep
-     structural-equality oracle on the stock checks, including the
-     exploration counts (timing aside, the searches are the same search) *)
-  let s = Ota.Scenario.make () in
-  let cfg interner = Csp.Check_config.(default |> with_interner interner) in
-  let ns_cfg interner =
-    Csp.Check_config.with_interner interner Security.Ns_protocol.default_config
-  in
+  (* the seed engine under hash-consed ids must agree with the deep
+     structural-equality oracle, including the exploration counts (timing
+     aside, the searches are the same search) *)
   let checks =
     [
-      "SP02", (fun i -> Ota.Requirements.r02 ~config:(cfg i) s);
-      "R05v1", (fun i -> Ota.Requirements.r05 ~config:(cfg i) s ~version:1);
-      ( "NS-broken",
-        fun i -> Security.Ns_protocol.check ~config:(ns_cfg i) ~fixed:false ()
+      ("NS-broken", fun interner -> seed_ns_check ~interner ~fixed:false ());
+      ( "NS-fixed-500-pairs",
+        fun interner -> seed_ns_check ~interner ~max_pairs:500 ~fixed:true ()
       );
     ]
   in

@@ -571,8 +571,9 @@ let reductions_arg =
         ~doc:
           "Staged state-space reductions applied before/during the \
            product search: $(b,default) (all of them), $(b,none) (the \
-           raw engine), or a comma-separated subset of $(b,dead) \
-           (relabel events the specification ignores everywhere to tau; \
+           staged compile searched with no passes), or a comma-separated \
+           subset of $(b,dead) (relabel events the specification ignores \
+           everywhere to tau; \
            traces checks only), $(b,tau) (tau-chain/SCC compression), \
            $(b,bisim) (strong-bisimulation quotient), $(b,por) \
            (ample-set partial-order reduction of independent \
@@ -580,8 +581,9 @@ let reductions_arg =
            only). Passes that do not apply to an assertion's model are \
            skipped. Verdicts and counterexample traces are identical \
            under every setting — counterexamples are re-derived by the \
-           raw engine — only speed and the reported reduction stats \
-           change. A checkpoint can only be resumed under the \
+           unreduced search that $(b,none) runs — only speed and the \
+           reported reduction stats change. A checkpoint can only be \
+           resumed under the \
            $(b,--reductions) setting it was taken with.")
 
 let output_arg =

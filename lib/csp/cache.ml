@@ -374,9 +374,6 @@ let spec_key ~max_states defs p =
 let impl_key ~max_states defs p =
   Printf.sprintf "staged-%d-%s" max_states (digest_term defs p)
 
-let lts_key ~max_states defs p =
-  Printf.sprintf "lts-%d-%s" max_states (digest_term defs p)
-
 let model_tag = function
   | `Traces -> "T"
   | `Failures -> "F"

@@ -81,16 +81,13 @@ val script_digest : string -> string
 (** Digest of raw script source (daemon job identity, not LTS keying). *)
 
 val spec_key : max_states:int -> Defs.t -> Proc.t -> string
-(** Key of a specification compiled with [Lts.compile_budgeted]
+(** Key of a specification graph compiled with [Reduce.compile_staged]
     ([Norm_spec]). *)
 
 val impl_key : max_states:int -> Defs.t -> Proc.t -> string
-(** Key of an implementation compiled with [Reduce.compile_staged]
-    ([Lts_graph]). Distinct namespace from {!lts_key}: staged and raw
-    compilation produce cosmetically different state terms. *)
-
-val lts_key : max_states:int -> Defs.t -> Proc.t -> string
-(** Key of a graph compiled with [Lts.compile_budgeted] ([Lts_graph]). *)
+(** Key of an implementation graph compiled with [Reduce.compile_staged]
+    ([Lts_graph]), for every model and for the deadlock and divergence
+    checks. *)
 
 val reduced_key :
   model:[ `Traces | `Failures | `Fd ] ->

@@ -1,6 +1,6 @@
 (** The one configuration record every check accepts.
 
-    Replaces the [?interner ?max_states ?max_pairs ?deadline ?workers]
+    Replaces the [?max_states ?max_pairs ?deadline ?workers]
     optional-argument sprawl that used to be copy-pasted across
     {!Refine}, [Cspm.Check], [Security.Ns_protocol], and
     [Ota.Requirements]: build a [t] once with the [with_*] builders and
@@ -18,10 +18,9 @@
     fields). *)
 
 type t = {
-  interner : Search.interner;
-      (** how on-the-fly implementation states are interned; [`Id]
-          (hash-consing) unless you are the structural test oracle *)
-  max_states : int;  (** budget for each [Lts] compilation *)
+  max_states : int;
+      (** budget for each graph compilation and for the specification
+          states a normal form interns *)
   max_pairs : int option;
       (** budget for the product exploration; [None] = [max_states] *)
   deadline : float option;
@@ -51,10 +50,11 @@ type t = {
   reductions : Reduce.pipeline;
       (** the staged reduction pipeline ({!Reduce.default_pipeline} by
           default); [Reduce.effective] filters it per model, so
-          inapplicable passes are skipped rather than misapplied. Use
-          [with_reductions []] for the raw engine. Counterexamples are
-          re-derived by the raw engine either way, so verdicts and traces
-          never depend on this field — only speed does. *)
+          inapplicable passes are skipped rather than misapplied.
+          [with_reductions []] searches the staged compile with no passes,
+          and counterexamples of reduced searches are re-derived by that
+          same unreduced search, so verdicts and traces never depend on
+          this field — only speed does. *)
   cache : Cache.t option;
       (** content-addressed store of compiled/normalised/reduced LTSs
           ({!Cache}); when set, per-assertion spec/impl compilation is
@@ -64,11 +64,10 @@ type t = {
 }
 
 val default : t
-(** [`Id] interner, [max_states = 1_000_000], no pair budget of its own,
+(** [max_states = 1_000_000], no pair budget of its own,
     no deadline, one worker, {!Obs.silent}, no progress callback — the
     exact behavior of the old per-function defaults. *)
 
-val with_interner : Search.interner -> t -> t
 val with_max_states : int -> t -> t
 val with_max_pairs : int -> t -> t
 val with_deadline : float -> t -> t

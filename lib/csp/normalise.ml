@@ -51,10 +51,10 @@ let row t s =
   match t.rows.(s) with
   | Some r -> r
   | None ->
-    (* like [Lts.compile_budgeted], read the clock per expanded state, but
-       never before the first: one state's expansion can cost more than a
-       whole deadline. The token rides the 256-state cadence of the staged
-       compiler. *)
+    (* like the one-shot compiler in [Lts], read the clock per expanded
+       state, but never before the first: one state's expansion can cost
+       more than a whole deadline. The token rides the 256-state cadence
+       of the staged compiler. *)
     if t.expanded > 0 then begin
       (match t.limits.stop_at with
        | Some limit when Obs.now () > limit -> raise (Out_of_budget `Deadline)
@@ -66,8 +66,8 @@ let row t s =
     end;
     t.expanded <- t.expanded + 1;
     let r = t.source.step s in
-    (* the same bound [Lts.compile_budgeted] puts on a whole graph: more
-       than [max_states] distinct states interned *)
+    (* the same bound the compilers put on a whole graph: more than
+       [max_states] distinct states interned *)
     if t.source.state_count () > t.limits.max_states then
       raise (Out_of_budget `States);
     t.rows.(s) <- Some r;

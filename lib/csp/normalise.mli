@@ -39,8 +39,8 @@ val of_spec :
   t
 (** The normal form of a specification term, stepped through
     [Semantics.make_cached] with [Proc.const_fold] applied to the root, as
-    [Lts.compile_budgeted] does — so nodes hold the same states and are
-    numbered the same as over the compiled graph. No graph is compiled:
+    the one-shot compiler in {!Lts} does — so nodes hold the same states
+    and are numbered the same as over its graph. No graph is compiled:
     specification states are interned only as nodes need them. Once more
     than [max_states] (default [1_000_000]) distinct states are interned, a
     query raises [Out_of_budget `States]; [stop_at] (absolute, on the

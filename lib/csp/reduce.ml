@@ -1,15 +1,15 @@
-(* Staged state-space reduction. Three stages, all optional and selected
-   by [Check_config.reductions]:
+(* Staged state-space reduction. Three stages; the passes are selected by
+   [Check_config.reductions]:
 
-   1. [compile_staged]: decompose the term's parallel structure into a
-      tree of lazy combinator nodes (FDR's supercompilation idea). Leaves
-      step their small subterms through the operational semantics;
-      composition nodes work on integer component-state pairs with
-      memoized transition rows and event-indexed synchronisation lookup.
-      Only the root's reachable graph is materialized — an interleaving of
-      hundreds of two-state intruder cells costs its reachable product,
-      never 2^cells, because intermediate nodes are only ever driven by
-      root reachability.
+   1. [staged_source] / [compile_staged]: decompose the term's parallel
+      structure into a tree of lazy combinator nodes (FDR's
+      supercompilation idea). Leaves step their small subterms through the
+      operational semantics; composition nodes work on integer
+      component-state pairs with memoized transition rows and
+      event-indexed synchronisation lookup. Only the root is explored by a
+      consumer — an interleaving of hundreds of two-state intruder cells
+      costs its reachable product, never 2^cells, because intermediate
+      nodes are only ever driven by root reachability.
 
    2. [apply]: composable Lts.t -> Lts.t passes (dead-event hiding, tau
       compression, strong-bisimulation quotienting), each obs-instrumented.
@@ -18,9 +18,9 @@
       [Search.product] during the search itself.
 
    Soundness notes are kept with each pass; the passes are gated per
-   model by [effective], and reduced counterexamples are re-derived by
-   the raw engine in [Refine], so every user-visible verdict and trace is
-   identical to the unreduced engine's. *)
+   model by [effective], and [Refine] re-derives reduced counterexamples
+   on the unreduced staged source, so every user-visible verdict and
+   trace is identical to the unreduced search's. *)
 
 type pass = Dead_events | Tau_compress | Bisim | Por
 type pipeline = pass list
@@ -122,7 +122,7 @@ end
 
 (* Sort a materialized row by (label, target) and deduplicate — the
    invariant of [Semantics.transitions] / [Lts.t]. Inside the combinator
-   tree rows stay raw: they are deterministic and duplicate-free by
+   tree rows stay unsorted: they are deterministic and duplicate-free by
    construction, and only the root graph's rows are ever handed to
    consumers that rely on the sorted shape. *)
 let sort_edges edges =
@@ -453,8 +453,8 @@ let rename_comp mapping inner =
 
 (* Resolve a named call to its (folded) body so the decomposition can see
    through definitions like SYS = A [|..|] B. Any evaluation problem means
-   the call is left as a leaf, where stepping it reports the same error
-   the raw engine would. *)
+   the call is left as a leaf, where stepping it through the term
+   semantics reports the error. *)
 let unfold_call env f args =
   match Defs.proc env.defs f with
   | None -> None
@@ -471,6 +471,22 @@ let unfold_call env f args =
         let resolve x = List.assoc_opt x bindings in
         Some (Proc.const_fold ~tys:env.tys env.fenv (Proc.subst resolve body))
       with Expr.Eval_error _ -> None)
+
+(* A named call unfolded into its composition body. The term semantics
+   keeps the call as a state of its own, apart from the body's initial
+   state even where that is reached again, so the node does too: one
+   extra id, which no node hands out, stands for the call and steps as
+   the body's initial state. The tree then reaches exactly the states the
+   term semantics reaches, so a staged graph and a term-stepped one have
+   the same state counts and normal-form nodes. *)
+let call_comp call body =
+  let call_state = max_int in
+  {
+    c_initial = call_state;
+    c_step =
+      (fun i -> body.c_step (if i = call_state then body.c_initial else i));
+    c_term = (fun i -> if i = call_state then call else body.c_term i);
+  }
 
 let is_composition p =
   match Proc.view p with
@@ -511,71 +527,107 @@ let rec build env depth term =
   | Proc.Rename (p, mapping) -> rename_comp mapping (build env depth p)
   | Proc.Call (f, args) when depth < 64 -> (
     match unfold_call env f args with
-    | Some body when is_composition body -> build env (depth + 1) body
+    | Some body when is_composition body ->
+      call_comp term (build env (depth + 1) body)
     | Some _ | None -> leaf_comp env term)
   | _ -> leaf_comp env term
 
+(* The root node of the tree over [root] as a state source. Dense ids are
+   assigned in discovery order: a row's targets are admitted in the
+   node's own row order, then the row is sorted. [unsorted di] steps
+   state [di] without sorting or memoising its row; the source's [step]
+   memoises the sorted row, so a search that steps a state once per
+   specification node pays for the sort once. *)
+let root_source ~budget ?stop_at ?cancel ~obs defs root =
+  let fenv = Defs.fenv defs in
+  let tys = Defs.ty_lookup defs in
+  let env =
+    {
+      step = Semantics.make_cached ~obs defs;
+      defs;
+      fenv;
+      tys;
+      budget;
+      ticks = 0;
+      stop_at;
+      cancel;
+    }
+  in
+  let comp = build env 0 (Proc.const_fold ~tys fenv root) in
+  let dense : (int, int) Hashtbl.t = Hashtbl.create 1024 in
+  let order = Dyn.create 0 in
+  let rows : (Event.label * int) list option Dyn.t = Dyn.create None in
+  let admit ci =
+    match Hashtbl.find_opt dense ci with
+    | Some di -> di
+    | None ->
+      let di = order.Dyn.len in
+      Hashtbl.add dense ci di;
+      Dyn.push order ci;
+      Dyn.push rows None;
+      di
+  in
+  let initial = admit comp.c_initial in
+  let unsorted di =
+    List.map (fun (l, _, cj) -> l, admit cj) (comp.c_step (Dyn.get order di))
+  in
+  let step di =
+    match Dyn.get rows di with
+    | Some row -> row
+    | None ->
+      let row = sort_edges (unsorted di) in
+      Dyn.set rows di (Some row);
+      row
+  in
+  ( {
+      Source.initial;
+      step;
+      term_of = (fun di -> comp.c_term (Dyn.get order di));
+      state_count = (fun () -> order.Dyn.len);
+      divergent = None;
+    },
+    unsorted )
+
+let staged_source ?(obs = Obs.silent) defs root =
+  fst (root_source ~budget:max_int ~obs defs root)
+
+(* Stepping the ids in order is a breadth-first walk: ids are handed out
+   in discovery order, so id [i + 1] is the next state in the queue. The
+   walk keeps rows unsorted, and they are sorted only once the state terms
+   are built and the tree is garbage: sorting allocates, and a minor
+   collection during it would otherwise promote every memo table of the
+   tree (8% more peak heap on a daemon re-checking a stream of 257-state
+   models). *)
 let compile_staged ?(max_states = 1_000_000) ?stop_at ?cancel
     ?(obs = Obs.silent) defs root =
   Obs.span obs "reduce.compile_staged" (fun () ->
-      let fenv = Defs.fenv defs in
-      let tys = Defs.ty_lookup defs in
-      let root = Proc.const_fold ~tys fenv root in
-      let env =
-        {
-          step = Semantics.make_cached ~obs defs;
-          defs;
-          fenv;
-          tys;
-          budget = max_states;
-          ticks = 0;
-          stop_at;
-          cancel;
-        }
-      in
-      let c_states = Obs.counter obs "reduce.staged_states" in
-      (* BFS-materialize the root node's reachable graph. Dense ids are
-         assigned in discovery order, so the rows pushed per dequeue line
-         up with them (FIFO: dequeue order = discovery order). *)
-      let dense : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-      let order = Dyn.create 0 in
-      let rows : (Event.label * int) list Dyn.t = Dyn.create [] in
-      let queue = Queue.create () in
       let explored = ref 0 in
+      let discovered = ref 0 in
+      let rows = Dyn.create [] in
       match
-        let comp = build env 0 root in
-        let admit ci =
-          match Hashtbl.find_opt dense ci with
-          | Some di -> di
-          | None ->
-            let di = order.Dyn.len in
-            Hashtbl.add dense ci di;
-            Dyn.push order ci;
-            Queue.add ci queue;
-            di
+        let source, unsorted =
+          root_source ~budget:max_states ?stop_at ?cancel ~obs defs root
         in
-        let (_ : int) = admit comp.c_initial in
-        while not (Queue.is_empty queue) do
-          let ci = Queue.take queue in
-          let ts = comp.c_step ci in
-          Dyn.push rows (List.map (fun (l, _, cj) -> l, admit cj) ts);
-          incr explored
+        discovered := source.Source.state_count ();
+        while !explored < source.Source.state_count () do
+          Dyn.push rows (unsorted !explored);
+          incr explored;
+          discovered := source.Source.state_count ()
         done;
-        comp
+        source
       with
-      | comp ->
-        let n = order.Dyn.len in
-        let states =
-          Array.init n (fun di -> comp.c_term (Dyn.get order di))
-        in
+      | source ->
+        let n = source.Source.state_count () in
+        Obs.add (Obs.counter obs "reduce.staged_states") n;
+        let states = Array.init n source.Source.term_of in
         let transitions =
           Array.init n (fun di -> sort_edges (Dyn.get rows di))
         in
-        Obs.add c_states n;
         Lts.Complete { Lts.initial = 0; states; transitions }
       | exception Stage_stop reason ->
         let progress =
-          { Lts.explored = !explored; frontier = Queue.length queue; reason }
+          { Lts.explored = !explored; frontier = !discovered - !explored;
+            reason }
         in
         Lts.Partial
           ( { Lts.initial = 0; states = [| root |]; transitions = [| [] |] },

@@ -1,19 +1,20 @@
-(** Staged state-space reduction: the pipeline between compiling an
-    implementation and searching the refinement product.
+(** Staged state-space reduction: the one way an implementation term is
+    compiled, and the passes between compiling it and searching the
+    refinement product.
 
-    The raw engine steps the whole composed process term once per product
-    state, which is dominated by re-combining the transition lists of large
-    parallel compositions (the Needham–Schroeder intruder alone contributes
-    hundreds of interleaved knowledge cells). This module replaces that
-    monolithic path with stages, in the spirit of FDR's supercompilation:
+    Stepping a whole composed process term per state is dominated by
+    re-combining the transition lists of large parallel compositions (the
+    Needham–Schroeder intruder alone contributes hundreds of interleaved
+    knowledge cells). This module splits the work into stages, in the
+    spirit of FDR's supercompilation:
 
-    + {b Staged compilation} ({!compile_staged}): the term's parallel
-      structure ([Par]/[APar]/[Inter]/[Hide]/[Rename], unfolding named
-      calls) is decomposed into a tree of lazy combinator nodes. Leaves
-      step their (small) subterms through the operational semantics;
-      composition nodes work on integer component states with memoized
-      transition rows and event-indexed synchronisation lookup. Nothing is
-      materialized except the {e root} reachable graph — intermediate
+    + {b Staged compilation} ({!staged_source}, {!compile_staged}): the
+      term's parallel structure ([Par]/[APar]/[Inter]/[Hide]/[Rename],
+      unfolding named calls) is decomposed into a tree of lazy combinator
+      nodes. Leaves step their (small) subterms through the operational
+      semantics; composition nodes work on integer component states with
+      memoized transition rows and event-indexed synchronisation lookup.
+      Only the {e root} is explored by its consumer — intermediate
       components are never explored beyond what the whole system reaches,
       so an interleaving of hundreds of two-state cells costs its reachable
       product, not [2^cells].
@@ -25,8 +26,9 @@
       reduction applied on the fly by [Search.product].
 
     Every pass preserves verdicts for the model it is enabled under (see
-    {!effective}); counterexamples of reduced searches are re-derived by
-    the raw engine so they stay byte-identical to [--reductions none]. *)
+    {!effective}); [Refine] re-derives the counterexample of a reduced
+    search on the unreduced staged source, so it is byte-identical to
+    [--reductions none]. *)
 
 (** One reduction pass. String names (for [--reductions], fingerprints and
     stats): ["dead"], ["tau"], ["bisim"], ["por"]. *)
@@ -76,6 +78,13 @@ val fingerprint : pipeline -> string
     {!effective} pipeline); recorded in checkpoints and digests so a
     resume under different reductions fails loudly. *)
 
+val staged_source : ?obs:Obs.t -> Defs.t -> Proc.t -> Source.t
+(** The root of the lazy combinator tree over a ground term, as a state
+    source that explores only what its consumer steps. Ids are assigned in
+    discovery order and rows are sorted by (label, target id). It has no
+    budget of its own: a product search over it is bounded by its pair
+    budget, deadline and token. *)
+
 val compile_staged :
   ?max_states:int ->
   ?stop_at:float ->
@@ -84,14 +93,14 @@ val compile_staged :
   Defs.t ->
   Proc.t ->
   Lts.compile_result
-(** Compile the reachable graph of a ground term through the lazy
-    combinator tree. Produces the same reachable behaviour as
-    [Lts.compile_budgeted] (state terms may differ cosmetically where
-    named calls were unfolded during decomposition). [max_states]
+(** The reachable graph of {!staged_source}, materialised breadth-first,
+    so state [i] of the graph is state [i] of a source stepped in id
+    order. State terms may differ cosmetically from the term semantics'
+    where named calls were unfolded during decomposition. [max_states]
     (default [1_000_000]) bounds the {e total} states interned across all
     tree nodes; exceeding it, passing [stop_at], or a true [cancel] poll
-    returns [Partial] — callers fall back to the raw path. [obs] records
-    a [reduce.compile_staged] span and a state counter. *)
+    returns [Partial]. [obs] records a [reduce.compile_staged] span and a
+    state counter. *)
 
 type pass_stat = {
   pass : string;

@@ -1,7 +1,8 @@
 (* All four checks are thin configurations of the shared product-search
-   engine in Search: they pick a state source (terms interned on the fly,
-   or a precompiled graph) and a refusal/divergence mode, and the engine
-   owns interning, parents, budgets, and trace reconstruction. *)
+   engine in Search: they pick a state source (the staged combinator tree
+   explored on the fly, or its compiled and reduced graph) and a
+   refusal/divergence mode, and the engine owns interning, parents,
+   budgets, and trace reconstruction. *)
 
 type violation = Search.violation =
   | Trace_violation of Event.label
@@ -54,52 +55,59 @@ type model =
 
 let visible_trace = Search.visible_trace
 
-(* The model a refusal mode decides under, for gating reduction passes.
-   [`Full] (the determinism check) compares acceptance sets of the same
+(* What a product search decides: a refinement model, or determinism
+   (a failures self-refinement that compares acceptance sets of the same
    process against itself — no reduction pass is proven
-   verdict-preserving for it, so it always takes the raw path. *)
-let model_of_refusal = function
-  | `None -> Some `Traces
-  | `Acceptances -> Some `Failures
-  | `Full -> None
+   verdict-preserving for it, so it never reduces). *)
+type mode = [ `Traces | `Failures | `Fd | `Determinism ]
 
 let pass_stat_triples =
   List.map (fun s -> s.Reduce.pass, s.Reduce.states_before, s.Reduce.states_after)
 
-(* Cache-fronted compilation. A hit returns the finished artifact without
-   opening any compile span. Only [Complete] results are ever stored: a
+(* Cache-fronted lookups. A hit returns the finished artifact without
+   opening any compile span. Only [Complete] compiles are ever stored: a
    [Partial] graph reflects the budgets of the run that produced it, not
    the content its key names. *)
+let lookup key extract =
+  match key with
+  | Some (cache, key) -> Option.bind (Cache.find cache key) extract
+  | None -> None
 
-(* Compile a term to an explicit graph via [Lts.compile_budgeted]. *)
-let cached_graph ~(config : Check_config.t) ?stop_at defs proc =
-  let compile () =
-    Lts.compile_budgeted ~max_states:config.max_states ?stop_at
-      ~obs:config.obs defs proc
-  in
-  match config.cache with
-  | None -> compile ()
-  | Some cache ->
-    let key = Cache.lts_key ~max_states:config.max_states defs proc in
-    (match Cache.find cache key with
-     | Some (Cache.Lts_graph g) -> Lts.Complete g
-     | Some _ | None ->
-       let r = compile () in
-       (match r with
-        | Lts.Complete g -> Cache.add cache key (Cache.Lts_graph g)
-        | Lts.Partial _ -> ());
-       r)
+let store key value =
+  match key with
+  | Some (cache, key) -> Cache.add cache key value
+  | None -> ()
+
+(* The cache slot of a term's staged graph, when a cache is configured. *)
+let impl_slot ~(config : Check_config.t) defs proc =
+  Option.map
+    (fun cache -> cache, Cache.impl_key ~max_states:config.max_states defs proc)
+    config.cache
+
+(* The implementation graph: materialised by the staged compiler, or the
+   graph cached under [slot]. *)
+let staged_graph ~(config : Check_config.t) ?stop_at ?cancel slot defs proc =
+  match lookup slot (function Cache.Lts_graph g -> Some g | _ -> None) with
+  | Some g -> Lts.Complete g
+  | None ->
+    let r =
+      Reduce.compile_staged ~max_states:config.max_states ?stop_at ?cancel
+        ~obs:config.obs defs proc
+    in
+    (match r with
+     | Lts.Complete g -> store slot (Cache.Lts_graph g)
+     | Lts.Partial _ -> ());
+    r
 
 (* The specification side of a check: an on-demand normal form private to
    this check (the search mutates it as it goes), plus the key the spec is
    cached under (feeding the reduced-graph key). Without a cache the normal
    form steps the term itself and no graph is compiled; its budgets trip
-   inside the search. With a cache, the spec graph is the cached artifact
-   and every check builds a fresh normal form over it — a hit opens no
-   compile or normalise span. A spec whose graph does not fit the budgets
-   is not cached and falls back to the term. Either way nodes are numbered
-   by the search's own queries, so stats and checkpoints do not depend on
-   the cache. *)
+   inside the search. With a cache, the spec's staged graph is the cached
+   artifact and every check builds a fresh normal form over it — a hit
+   opens no compile or normalise span. A spec whose graph does not fit the
+   budgets is not cached and falls back to the term. Either way nodes are
+   numbered by the search's own queries. *)
 let spec_normal_form ~(config : Check_config.t) ?stop_at defs spec =
   let obs = config.obs in
   let of_term () =
@@ -110,16 +118,19 @@ let spec_normal_form ~(config : Check_config.t) ?stop_at defs spec =
   | None -> of_term (), None
   | Some cache ->
     let key = Cache.spec_key ~max_states:config.max_states defs spec in
+    let slot = Some (cache, key) in
     let norm =
-      match Cache.find cache key with
-      | Some (Cache.Norm_spec (lts, _)) -> Normalise.normalise lts
-      | Some _ | None ->
+      match
+        lookup slot (function Cache.Norm_spec (g, _) -> Some g | _ -> None)
+      with
+      | Some lts -> Normalise.normalise lts
+      | None ->
         (match
-           Lts.compile_budgeted ~max_states:config.max_states ?stop_at ~obs
+           Reduce.compile_staged ~max_states:config.max_states ?stop_at ~obs
              defs spec
          with
          | Lts.Complete lts ->
-           Cache.add cache key (Cache.Norm_spec (lts, Normalise.normalise lts));
+           store slot (Cache.Norm_spec (lts, Normalise.normalise lts));
            Normalise.normalise ~obs lts
          | Lts.Partial _ -> of_term ())
     in
@@ -135,250 +146,142 @@ let with_reduction_stats reductions = function
   | Inconclusive (stats, hint) -> Inconclusive ({ stats with reductions }, hint)
   | Fails _ as r -> r
 
-let product_check ~(config : Check_config.t) ~refusal_mode ~max_pairs ?stop_at
-    ?resume_from defs ~spec ~impl =
-  let obs = config.obs in
-  let norm, spec_cache_key = spec_normal_form ~config ?stop_at defs spec in
-  (* The unreduced engine: implementation states generated on the fly.
-     Used when no pass applies, when the staged compile degrades, and to
-     re-derive counterexamples found on a reduced graph. *)
-  let raw_search ?resume_from () =
-    let fenv = Defs.fenv defs in
-    let tys = Defs.ty_lookup defs in
-    let impl0 = Proc.const_fold ~tys fenv impl in
-    let source =
-      Search.proc_source ~interner:config.interner
-        ~make_step:(fun () -> Semantics.make_cached ~obs defs)
-        impl0
-    in
-    Search.product ~refusal:refusal_mode ~max_pairs ?stop_at ~obs
-      ?progress:config.progress ?cancel:config.cancel
-      ?memory_limit_mb:config.memory_limit_mb ?resume_from
-      ?resume_deadline:config.deadline ~norm source
+(* A compile that ran out of budget before the search could start. *)
+let lts_inconclusive progress =
+  let exhausted =
+    match progress.Lts.reason with `States -> States | `Deadline -> Deadline
   in
-  let pipeline =
-    match model_of_refusal refusal_mode with
-    | None -> []
-    | Some model -> Reduce.effective ~model config.reductions
-  in
-  (* A checkpoint names the engine that recorded it. One recorded by
-     the raw engine — including the raw fallback of a reduced run whose
-     staged compile ran out of deadline — resumes on the raw path
-     regardless of [config.reductions]; one recorded by a reduced
-     search must be resumed by the same pipeline, and [Search.product]
-     raises [Resume_mismatch] below if it is not. *)
-  let pipeline =
-    match resume_from with
-    | Some cp when String.equal cp.Search.pipeline "none" -> []
-    | Some _ | None -> pipeline
-  in
-  record_nodes ~obs norm
-  @@ match pipeline, model_of_refusal refusal_mode with
-   | [], _ | _, None -> raw_search ?resume_from ()
-   | pipeline, Some model ->
-     let fp = Reduce.fingerprint pipeline in
-     (* Key the staged and reduced artifacts when a cache is configured.
-        The reduced key includes the spec key: the dead pass eliminates
-        events against the spec's normal-form alphabet, so the same
-        implementation reduced against a different spec is a different
-        artifact. *)
-     let cache_keys =
-       match config.cache, spec_cache_key with
-       | Some cache, Some spec_key ->
-         let impl_key =
-           Cache.impl_key ~max_states:config.max_states defs impl
-         in
-         let reduced_key =
-           Cache.reduced_key ~model ~pipeline ~spec:spec_key
-             ~impl:impl_key
-         in
-         Some (cache, impl_key, reduced_key)
-       | _ -> None
-     in
-     let reduced_hit =
-       match cache_keys with
-       | Some (cache, _, reduced_key) ->
-         (match Cache.find cache reduced_key with
-          | Some (Cache.Reduced (g, stats)) -> Some (g, stats)
-          | Some _ | None -> None)
-       | None -> None
-     in
-     let reduction =
-       match reduced_hit with
-       | Some _ -> reduced_hit
-       | None ->
-         let staged () =
-           match resume_from with
-           | Some _ ->
-             (* A checkpoint recorded against this pipeline implies the
-                staged compile completed; rebuild it deterministically,
-                with no deadline or cancellation mid-compile. *)
-             Reduce.compile_staged ~max_states:config.max_states ~obs
-               defs impl
-           | None ->
-             Reduce.compile_staged ~max_states:config.max_states ?stop_at
-               ?cancel:config.cancel ~obs defs impl
-         in
-         let compiled =
-           match cache_keys with
-           | Some (cache, impl_key, _) ->
-             (match Cache.find cache impl_key with
-              | Some (Cache.Lts_graph g) -> Lts.Complete g
-              | Some _ | None ->
-                let r = staged () in
-                (match r with
-                 | Lts.Complete g ->
-                   Cache.add cache impl_key (Cache.Lts_graph g)
-                 | Lts.Partial _ -> ());
-                r)
-           | None -> staged ()
-         in
-         (match compiled with
-          | Lts.Partial _ -> None
-          | Lts.Complete impl_lts ->
-            (match Reduce.apply ~obs ~model ~norm pipeline impl_lts with
-             | exception Normalise.Out_of_budget _ ->
-               (* the dead pass could not walk the spec within its
-                  budgets: no reduced graph, nothing cached *)
-               None
-             | reduced, pass_stats ->
-               (match cache_keys with
-                | Some (cache, _, reduced_key) ->
-                  Cache.add cache reduced_key
-                    (Cache.Reduced (reduced, pass_stats))
-                | None -> ());
-               Some (reduced, pass_stats)))
-     in
-     let por reduced =
-       match refusal_mode with
-       | `None when List.memq Reduce.Por pipeline ->
-         Some (Reduce.por_hooks ~norm reduced)
-       | _ -> None
-     in
-     (match reduction with
-      | None ->
-        (* Budget ran out mid-decomposition (or while the reduction
-           walked the spec): fall back to the raw engine, which degrades
-           gracefully (and can still find an early counterexample
-           without the full graph). *)
-        raw_search ?resume_from ()
-      | Some (reduced, pass_stats) ->
-        (match por reduced with
-         | exception Normalise.Out_of_budget _ -> raw_search ?resume_from ()
-         | por ->
-           let source = Search.lts_source ~check_divergence:false reduced in
-           let result =
-             Search.product ~refusal:refusal_mode ~max_pairs ?stop_at ~obs
-               ?progress:config.progress ?cancel:config.cancel
-               ?memory_limit_mb:config.memory_limit_mb ?resume_from
-               ?resume_deadline:config.deadline ?por ~pipeline:fp ~norm
-               source
-           in
-           (match result with
-            | Fails _ ->
-              (* Counterexample canonicalisation: the reduced graph
-                 proves a violation exists, but its trace and state term
-                 reflect the reduced shape. Re-derive with the raw engine
-                 so the reported counterexample is byte-identical to
-                 [--reductions none]; if the raw run cannot reach a
-                 verdict within the budgets, keep the reduced one. *)
-              (match raw_search () with
-               | Fails _ as raw -> raw
-               | Holds _ | Inconclusive _ -> result)
-            | Holds _ | Inconclusive _ ->
-              with_reduction_stats (pass_stat_triples pass_stats) result)))
+  Inconclusive
+    ( Search.make_stats ~impl_states:progress.Lts.explored ~spec_nodes:0
+        ~pairs:0 (),
+      {
+        frontier = progress.Lts.frontier;
+        deepest = [];
+        exhausted;
+        checkpoint = None;
+      } )
 
-(* Failures-divergences refinement: both sides are compiled to explicit
-   graphs (divergence detection needs the tau-SCCs of the implementation),
-   then the product is explored. *)
-let fd_check ~(config : Check_config.t) ~max_pairs ?stop_at ?resume_from defs
-    ~spec ~impl =
+(* Every product check takes one path. The implementation is the staged
+   combinator tree over [impl]:
+   - unreduced, it is searched on the fly ({!Reduce.staged_source}), so an
+     early counterexample never pays for the whole graph and an infinite
+     implementation runs into the pair budget. FD is the exception:
+     divergence needs the whole tau graph, so it searches the compiled
+     graph, and a compile out of budget is [Inconclusive].
+   - with passes, the graph is compiled, reduced and searched. A
+     counterexample of the reduced search reflects the reduced shape, so
+     it is re-derived by a fresh unreduced search — exactly what
+     [--reductions none] runs; if that cannot reach a verdict within the
+     budgets the reduced one is kept. A graph or dead pass out of budget
+     falls back to the unreduced search. *)
+let product_check ~(config : Check_config.t) ~(mode : mode) ~max_pairs
+    ?stop_at ?resume_from defs ~spec ~impl =
   let obs = config.obs in
-  let norm, spec_cache_key = spec_normal_form ~config ?stop_at defs spec in
-  record_nodes ~obs norm
-    (match cached_graph ~config ?stop_at defs impl with
-     | Lts.Partial (_, progress) ->
-       (* Divergence detection needs the full tau graph of the
-          implementation; a partial compile cannot support a verdict. *)
-       let exhausted =
-         match progress.Lts.reason with
-         | `States -> States
-         | `Deadline -> Deadline
-       in
-       Inconclusive
-         ( Search.make_stats ~impl_states:progress.Lts.explored
-             ~spec_nodes:(Normalise.num_nodes norm) ~pairs:0 (),
-           {
-             frontier = progress.Lts.frontier;
-             deepest = [];
-             exhausted;
-             checkpoint = None;
-           } )
-     | Lts.Complete impl_lts ->
-       let search ~pipeline lts =
-         let source = Search.lts_source ~check_divergence:true lts in
-         Search.product ~refusal:`Acceptances ~max_pairs ?stop_at ~obs
-           ?progress:config.progress ?cancel:config.cancel
-           ?memory_limit_mb:config.memory_limit_mb ?resume_from
-           ?resume_deadline:config.deadline ~pipeline ~norm source
-       in
-       let effective =
+  let divergence = match mode with `Fd -> true | _ -> false in
+  let norm, spec_key = spec_normal_form ~config ?stop_at defs spec in
+  let search ?resume_from ?por ?pipeline source =
+    Search.product
+      ~refusal:
+        (match mode with
+         | `Traces -> `None
+         | `Failures | `Fd -> `Acceptances
+         | `Determinism -> `Full)
+      ~max_pairs ?stop_at ~obs ?progress:config.progress
+      ?cancel:config.cancel ?memory_limit_mb:config.memory_limit_mb
+      ?resume_from ?resume_deadline:config.deadline ?por ?pipeline ~norm
+      source
+  in
+  let slot = lazy (impl_slot ~config defs impl) in
+  (* A resumed search rebuilds the graph deterministically, with no
+     cancellation mid-compile: its checkpoint implies the compile
+     completed. FD cannot fall back to an on-the-fly search, so its
+     compile leaves the token to the search that follows. *)
+  let graph =
+    lazy
+      (let cancel =
          match resume_from with
-         | Some cp when String.equal cp.Search.pipeline "none" -> []
-         | Some _ | None -> Reduce.effective ~model:`Fd config.reductions
+         | Some _ -> None
+         | None -> if divergence then None else config.cancel
        in
-       (match effective with
-        | [] -> search ~pipeline:"none" impl_lts
-        | pipeline ->
-          (* FD reduced graphs are keyed like the staged path's, except
-             the implementation component comes from [cached_graph]'s
-             namespace ([lts_key]) — state terms differ between the raw
-             and staged compilers, so the namespaces must not mix. *)
-          let reduced_cache_key =
-            match config.cache, spec_cache_key with
-            | Some _, Some spec_key ->
-              Some
-                (Cache.reduced_key ~model:`Fd ~pipeline ~spec:spec_key
-                   ~impl:
-                     (Cache.lts_key ~max_states:config.max_states defs impl))
-            | _ -> None
+       staged_graph ~config ?stop_at ?cancel (Lazy.force slot) defs impl)
+  in
+  let unreduced ?resume_from () =
+    if divergence then
+      match Lazy.force graph with
+      | Lts.Partial (_, progress) -> lts_inconclusive progress
+      | Lts.Complete g ->
+        search ?resume_from (Search.lts_source ~check_divergence:true g)
+    else search ?resume_from (Reduce.staged_source ~obs defs impl)
+  in
+  (* A checkpoint names the pipeline of the search that recorded it. An
+     unreduced one resumes unreduced whatever [config.reductions] says;
+     one recorded by a reduced search must be resumed by the same
+     pipeline, and [Search.product] raises [Resume_mismatch] if not. *)
+  let pipeline =
+    match mode, resume_from with
+    | `Determinism, _ -> []
+    | _, Some cp when String.equal cp.Search.pipeline "none" -> []
+    | ((`Traces | `Failures | `Fd) as model), _ ->
+      Reduce.effective ~model config.reductions
+  in
+  record_nodes ~obs norm
+  @@
+  match mode, pipeline with
+  | `Determinism, _ | _, [] -> unreduced ?resume_from ()
+  | ((`Traces | `Failures | `Fd) as model), pipeline ->
+    (* The reduced key includes the spec key: the dead pass eliminates
+       events against the spec's normal-form alphabet, so the same
+       implementation reduced against a different spec is a different
+       artifact. *)
+    let reduced_slot =
+      match Lazy.force slot, spec_key with
+      | Some (cache, impl_key), Some spec ->
+        Some (cache, Cache.reduced_key ~model ~pipeline ~spec ~impl:impl_key)
+      | _ -> None
+    in
+    let reduction =
+      match
+        lookup reduced_slot (function
+          | Cache.Reduced (g, stats) -> Some (g, stats)
+          | _ -> None)
+      with
+      | Some _ as hit -> hit
+      | None ->
+        (match Lazy.force graph with
+         | Lts.Partial _ -> None
+         | Lts.Complete g ->
+           (match Reduce.apply ~obs ~model ~norm pipeline g with
+            | exception Normalise.Out_of_budget _ -> None
+            | reduced, pass_stats ->
+              store reduced_slot (Cache.Reduced (reduced, pass_stats));
+              Some (reduced, pass_stats)))
+    in
+    (match reduction with
+     | None -> unreduced ?resume_from ()
+     | Some (reduced, pass_stats) ->
+       (match
+          if List.memq Reduce.Por pipeline then
+            Some (Reduce.por_hooks ~norm reduced)
+          else None
+        with
+        | exception Normalise.Out_of_budget _ -> unreduced ?resume_from ()
+        | por ->
+          let result =
+            search ?resume_from ?por ~pipeline:(Reduce.fingerprint pipeline)
+              (Search.lts_source ~check_divergence:divergence reduced)
           in
-          let reduced, pass_stats =
-            match
-              match config.cache, reduced_cache_key with
-              | Some cache, Some key -> Cache.find cache key
-              | _ -> None
-            with
-            | Some (Cache.Reduced (g, stats)) -> g, stats
-            | Some _ | None ->
-              let reduced, pass_stats =
-                Reduce.apply ~obs ~model:`Fd ~norm pipeline impl_lts
-              in
-              (match config.cache, reduced_cache_key with
-               | Some cache, Some key ->
-                 Cache.add cache key (Cache.Reduced (reduced, pass_stats))
-               | _ -> ());
-              reduced, pass_stats
-          in
-          (match search ~pipeline:(Reduce.fingerprint pipeline) reduced with
-           | Fails _ as result ->
-             (* Canonicalise the counterexample on the unreduced graph
-                (see [product_check]); the raw search ignores the
-                checkpoint of the reduced one. *)
-             let raw =
-               let source =
-                 Search.lts_source ~check_divergence:true impl_lts
-               in
-               Search.product ~refusal:`Acceptances ~max_pairs ?stop_at ~obs
-                 ?progress:config.progress ?cancel:config.cancel
-                 ?memory_limit_mb:config.memory_limit_mb
-                 ?resume_deadline:config.deadline ~norm source
-             in
-             (match raw with
-              | Fails _ -> raw
+          (match result with
+           | Fails _ ->
+             (match unreduced () with
+              | Fails _ as canonical -> canonical
               | Holds _ | Inconclusive _ -> result)
-           | result ->
+           | Holds _ | Inconclusive _ ->
              with_reduction_stats (pass_stat_triples pass_stats) result)))
+
+let mode_of = function
+  | Traces -> `Traces
+  | Failures -> `Failures
+  | Failures_divergences -> `Fd
 
 let stop_at_of_deadline = function
   | None -> None
@@ -400,15 +303,8 @@ let check ?(config = Check_config.default) ?model ?max_states ?deadline defs
   let model = Option.value model ~default:Traces in
   let max_pairs = Option.value config.max_pairs ~default:config.max_states in
   let stop_at = stop_at_of_deadline config.deadline in
-  match model with
-  | Traces ->
-    product_check ~config ~refusal_mode:`None ~max_pairs ?stop_at defs ~spec
-      ~impl
-  | Failures ->
-    product_check ~config ~refusal_mode:`Acceptances ~max_pairs ?stop_at defs
-      ~spec ~impl
-  | Failures_divergences ->
-    fd_check ~config ~max_pairs ?stop_at defs ~spec ~impl
+  product_check ~config ~mode:(mode_of model) ~max_pairs ?stop_at defs ~spec
+    ~impl
 
 let traces_refines ?config defs ~spec ~impl =
   check ?config ~model:Traces defs ~spec ~impl
@@ -429,35 +325,14 @@ let resume ?(config = Check_config.default) ?model ~checkpoint defs ~spec
     ~impl =
   let model = Option.value model ~default:Traces in
   let max_pairs = Option.value config.max_pairs ~default:config.max_states in
-  match model with
-  | Traces ->
-    product_check ~config ~refusal_mode:`None ~max_pairs
-      ~resume_from:checkpoint defs ~spec ~impl
-  | Failures ->
-    product_check ~config ~refusal_mode:`Acceptances ~max_pairs
-      ~resume_from:checkpoint defs ~spec ~impl
-  | Failures_divergences ->
-    fd_check ~config ~max_pairs ~resume_from:checkpoint defs ~spec ~impl
+  product_check ~config ~mode:(mode_of model) ~max_pairs
+    ~resume_from:checkpoint defs ~spec ~impl
 
 let resume_deterministic ?(config = Check_config.default) ~checkpoint defs
     proc =
   let max_pairs = Option.value config.max_pairs ~default:config.max_states in
-  product_check ~config ~refusal_mode:`Full ~max_pairs
+  product_check ~config ~mode:`Determinism ~max_pairs
     ~resume_from:checkpoint defs ~spec:proc ~impl:proc
-
-let lts_inconclusive progress =
-  let exhausted =
-    match progress.Lts.reason with `States -> States | `Deadline -> Deadline
-  in
-  Inconclusive
-    ( Search.make_stats ~impl_states:progress.Lts.explored ~spec_nodes:0
-        ~pairs:0 (),
-      {
-        frontier = progress.Lts.frontier;
-        deepest = [];
-        exhausted;
-        checkpoint = None;
-      } )
 
 (* Deadlock/divergence freedom: compile the graph, find the offending
    states, and BFS a shortest path to one. The offender set is looked up
@@ -465,8 +340,9 @@ let lts_inconclusive progress =
 let bad_state_check ~violation ~find ~(config : Check_config.t) defs proc =
   let t0 = Obs.now () in
   match
-    cached_graph ~config
-      ?stop_at:(stop_at_of_deadline config.deadline) defs proc
+    staged_graph ~config
+      ?stop_at:(stop_at_of_deadline config.deadline)
+      (impl_slot ~config defs proc) defs proc
   with
   | Lts.Partial (_, progress) -> lts_inconclusive progress
   | Lts.Complete lts ->
@@ -498,7 +374,7 @@ let divergence_free ?(config = Check_config.default) defs proc =
 
 let deterministic ?(config = Check_config.default) defs proc =
   let max_pairs = Option.value config.max_pairs ~default:config.max_states in
-  product_check ~config ~refusal_mode:`Full ~max_pairs
+  product_check ~config ~mode:`Determinism ~max_pairs
     ?stop_at:(stop_at_of_deadline config.deadline) defs ~spec:proc ~impl:proc
 
 let holds = function

@@ -47,12 +47,12 @@ type stats = Search.stats = {
   reductions : (string * int * int) list;
       (** per reduction pass run on the implementation graph before the
           search: [(pass name, states before, states after)], in
-          application order; [[]] on the raw path *)
+          application order; [[]] when the search ran unreduced *)
 }
 
 type budget_kind = Search.budget_kind =
   | Deadline  (** the wall-clock deadline passed *)
-  | States  (** an [Lts] compilation hit its state budget *)
+  | States  (** a graph compilation hit its state budget *)
   | Pairs  (** the product exploration hit its pair budget *)
   | Interrupt  (** the cancellation token tripped (signal, drain, …) *)
   | Memory  (** the heap watermark was crossed before the OOM killer *)
@@ -69,7 +69,7 @@ type resume_hint = Search.resume_hint = {
   checkpoint : Search.checkpoint option;
       (** resumable snapshot of the interrupted product search — feed it
           to {!resume}; [None] when the exhaustion happened outside the
-          product engine (an [Lts] compilation budget) *)
+          product engine (a graph compilation budget) *)
 }
 
 type result = Search.result =
@@ -96,9 +96,9 @@ val check :
   spec:Proc.t ->
   impl:Proc.t ->
   result
-(** Default model is {!Traces}. All budgets, the interner, the worker
-    pool, and the observability handle come from [config] (default
-    {!Check_config.default}): [config.max_states] bounds each [Lts]
+(** Default model is {!Traces}. All budgets, the worker count, and the
+    observability handle come from [config] (default
+    {!Check_config.default}): [config.max_states] bounds each graph
     compilation, [config.max_pairs] the product exploration (defaulting to
     [max_states]), [config.deadline] is a wall-clock budget in seconds
     from the start of the call; specification states interned by the
@@ -107,9 +107,7 @@ val check :
     always explored before the deadline is consulted, so an
     {!Inconclusive} result always carries non-zero stats.
 
-    [config.interner] is ignored by {!Failures_divergences}, which
-    precompiles both sides. [config.workers] is ignored: one check is one
-    sequential search. Verdicts, counterexample traces, and state/pair
+    [config.workers] is ignored: one check is one sequential search. Verdicts, counterexample traces, and state/pair
     counts are byte-identical under any [config.obs] sink or
     [config.progress] callback.
 
@@ -123,18 +121,19 @@ val check :
     Interrupt] (respectively [Memory]) and a {!Search.checkpoint} in the
     hint instead of dying.
 
-    [config.reductions] selects the staged reduction pipeline (see
-    {!Reduce}): when any pass applies to the model, the implementation is
-    compiled through the staged combinator tree, reduced, and the product
-    is searched over the reduced graph (with ample-set POR applied during
-    the search when enabled). Verdicts are preserved by construction, and
-    counterexamples are re-derived by the raw engine, so results are
-    byte-identical to [with_reductions []] — [stats.reductions] and the
-    wall clock are the only observable differences. If the staged compile
-    runs out of budget the check falls back to the raw engine (which can
-    still find an early counterexample without the full graph). The
-    determinism check and the graph-based freedom checks always run
-    raw. *)
+    The implementation always goes through the staged combinator tree
+    ({!Reduce.staged_source}). With no reduction pass it is searched on
+    the fly, so an early counterexample needs no full graph.
+    [config.reductions] selects the pipeline (see {!Reduce}): when any
+    pass applies to the model, the tree's graph is compiled, reduced, and
+    the product is searched over the reduced graph (with ample-set POR
+    applied during the search when enabled). Verdicts are preserved by
+    construction, and a counterexample is re-derived by the unreduced
+    on-the-fly search, so results are byte-identical to
+    [with_reductions []] — [stats.reductions] and the wall clock are the
+    only observable differences. If the compile runs out of budget the
+    check falls back to the on-the-fly search. The determinism check never
+    reduces. *)
 
 val spec_normal_form :
   config:Check_config.t ->
@@ -146,11 +145,12 @@ val spec_normal_form :
     one consumer, and the spec's cache key when [config.cache] is set.
     Without a cache it steps the term ({!Normalise.of_spec}, under
     [config]'s state budget and token and the absolute deadline
-    [stop_at]) and compiles no graph. With one, the compiled spec graph
-    is the cached artifact: a hit opens no compile or normalise span, and
-    a spec whose graph exceeds the budgets falls back to the term. Node
-    numbering depends only on the consumer's queries, never on the
-    cache. *)
+    [stop_at]) and compiles no graph. With one, the spec's staged graph
+    ({!Reduce.compile_staged}) is the cached artifact: a hit opens no
+    compile or normalise span, and a spec whose graph exceeds the budgets
+    falls back to the term. Node numbering depends only on the consumer's
+    queries and on the states the spec reaches, never on whether a graph
+    came from the cache. *)
 
 val resume :
   ?config:Check_config.t ->
@@ -162,7 +162,7 @@ val resume :
   result
 (** Continue an interrupted {!check} from its checkpoint (the
     [hint.checkpoint] of the {!Inconclusive} result). The model, process
-    terms, [config.max_states], [config.interner], and [config.max_pairs]
+    terms, [config.max_states], and [config.max_pairs]
     must match the interrupted run — the engine validates the replayed
     prefix against the checkpoint's digests and raises
     {!Search.Resume_mismatch} on disagreement (a larger [max_pairs] is
@@ -197,16 +197,17 @@ val failures_refines :
 val fd_refines :
   ?config:Check_config.t -> Defs.t -> spec:Proc.t -> impl:Proc.t -> result
 (** Failures-divergences refinement. Unlike the other checks, the
-    implementation is fully compiled first (divergence detection needs its
-    whole tau graph), so early counterexample exit does not avoid the full
-    implementation state-space cost. The specification is still
-    normalised on demand. *)
+    implementation's staged graph is fully compiled first (divergence
+    detection needs its whole tau graph), so early counterexample exit
+    does not avoid the full implementation state-space cost, and a compile
+    out of budget is {!Inconclusive} with no checkpoint. The specification
+    is still normalised on demand. *)
 
 val deadlock_free : ?config:Check_config.t -> Defs.t -> Proc.t -> result
 
 val divergence_free : ?config:Check_config.t -> Defs.t -> Proc.t -> result
-(** {!deadlock_free} and {!divergence_free} are a graph compilation plus
-    an offender scan, not a product search. *)
+(** {!deadlock_free} and {!divergence_free} are a staged graph compilation
+    plus an offender scan, not a product search. *)
 
 val deterministic : ?config:Check_config.t -> Defs.t -> Proc.t -> result
 (** FDR's determinism check in the stable-failures model: [P] is

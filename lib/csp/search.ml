@@ -62,8 +62,8 @@ type checkpoint = {
   exhausted : budget_kind;  (* why the original run stopped *)
   pipeline : string;
       (* fingerprint of the reduction pipeline the search ran under
-         ("none" for the raw engine): pair ids and the visit-order digest
-         only replay under the same pipeline, so resuming under a
+         ("none" for an unreduced search): pair ids and the visit-order
+         digest only replay under the same pipeline, so resuming under a
          different one must fail loudly instead of replaying garbage *)
 }
 
@@ -123,7 +123,7 @@ let checkpoint_of_json json =
                     with
                     | Some exhausted ->
                       (* absent in pre-reduction checkpoints, which were
-                         always recorded by the raw engine *)
+                         always recorded by an unreduced search *)
                       let pipeline =
                         Option.value
                           (Option.bind (member "reductions" json) to_str)

@@ -3,11 +3,13 @@
     A refinement check explores the product of the implementation's states
     with the normalized specification's nodes, breadth-first (so reported
     counterexamples have minimal length). The implementation side is
-    abstracted as a {!source} of integer states — either process terms
-    interned on the fly ({!proc_source}) or a precompiled {!Lts.t}
-    ({!lts_source}) — and the refusal mode and divergence predicate are
-    pluggable, so traces, stable-failures, failures-divergences, and
-    determinism checking are all thin configurations of {!product}.
+    abstracted as a {!source} of integer states — the staged combinator
+    tree explored on the fly ([Reduce.staged_source]), a precompiled
+    {!Lts.t} ({!lts_source}), or process terms interned on the fly
+    ({!proc_source}, the specification side and the test oracle) — and
+    the refusal mode and divergence predicate are pluggable, so traces,
+    stable-failures, failures-divergences, and determinism checking are
+    all thin configurations of {!product}.
 
     The engine owns the shared mechanics: pair interning, parent tracking
     with O(depth) trace reconstruction, pair/deadline budgets, and
@@ -49,8 +51,8 @@ type stats = {
       (** largest number of discovered-but-unexplored pairs at any point *)
   reductions : (string * int * int) list;
       (** per reduction pass: name, implementation states before, states
-          after. Empty for the raw (unreduced) engine and for [Fails]
-          paths, whose counterexamples are re-derived unreduced. *)
+          after. Empty for an unreduced search and for [Fails] paths,
+          whose counterexamples are re-derived unreduced. *)
 }
 
 type budget_kind =
@@ -80,7 +82,7 @@ type checkpoint = {
   exhausted : budget_kind;  (** why the original run stopped *)
   pipeline : string;
       (** fingerprint of the reduction pipeline the interrupted search ran
-          under ([Reduce.fingerprint]; ["none"] for the raw engine). Pair
+          under ([Reduce.fingerprint]; ["none"] when unreduced). Pair
           ids and the visit-order digest are only reproducible under the
           same pipeline, so {!product} refuses to resume under any
           other. *)
@@ -178,9 +180,10 @@ val proc_source :
   make_step:(unit -> Proc.t -> (Event.label * Proc.t) list) ->
   Proc.t ->
   source
-(** [Source.of_proc]: states are process terms, interned on the fly as
-    the search reaches them (early counterexamples avoid compiling the
-    full state space). *)
+(** [Source.of_proc]: states are process terms stepped by the term
+    semantics and interned on the fly as the search reaches them — the
+    seed engine, kept for the specification side and as the tests'
+    oracle. *)
 
 val lts_source : ?check_divergence:bool -> Lts.t -> source
 (** [Source.of_lts]: states are the nodes of a precompiled graph. *)

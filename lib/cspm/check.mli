@@ -109,8 +109,8 @@ val json_of_outcomes : ?cache:Csp.Cache.stats -> outcome list -> Obs.Json.t
     the engine checkpoint, when one exists — and widened ["exhausted"] to
     the full {!Csp.Search.budget_kind_to_string} vocabulary; this one
     adds ["stats"]["reductions"], the per-pass state counts of the staged
-    reduction pipeline, [[]] on the raw path, and this one adds the
-    optional top-level ["cache"] object — [{"hits", "misses",
+    reduction pipeline, [[]] when the search ran unreduced, and this one
+    adds the optional top-level ["cache"] object — [{"hits", "misses",
     "evictions", "resident_states", "resident_entries"}], present when
     the run used an LTS cache). ["workers"] and ["par_speedup"] are the
     constants [1] and [1.0]: the product search is sequential, and the

@@ -90,3 +90,39 @@ let gen_proc : Proc.t QCheck.Gen.t =
 (* Sizes are capped at 8 in [gen_proc]: trace-set computations are
    exponential in term size by nature. *)
 let arb_proc = QCheck.make ~print:Proc.to_string gen_proc
+
+(* ------------------------------------------------------------------ *)
+(* The seed engine, kept as the oracle of the checks                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The search the checker ran before every compile went through the
+   staged combinator tree: for traces, failures and determinism the
+   implementation term is stepped by the operational semantics and
+   interned on the fly ([interner] picks hash-consed ids or deep
+   structural equality); for FD it is compiled by [Lts.compile_budgeted].
+   Either way it is searched against the specification's on-demand normal
+   form, with no reduction pass. *)
+let raw_check ?(interner = `Id) ?(max_states = 1_000_000) ?max_pairs defs
+    ~model ~spec ~impl =
+  let max_pairs = Option.value max_pairs ~default:max_states in
+  let norm = Normalise.of_spec ~max_states defs spec in
+  let search refusal source =
+    Search.product ~refusal ~max_pairs ~norm source
+  in
+  match model with
+  | `Fd -> (
+    match Lts.compile_budgeted ~max_states defs impl with
+    | Lts.Complete g -> search `Acceptances (Search.lts_source g)
+    | Lts.Partial _ -> invalid_arg "raw_check: FD implementation over budget")
+  | (`Traces | `Failures | `Determinism) as model ->
+    let impl =
+      Proc.const_fold ~tys:(Defs.ty_lookup defs) (Defs.fenv defs) impl
+    in
+    search
+      (match model with
+       | `Traces -> `None
+       | `Failures -> `Acceptances
+       | `Determinism -> `Full)
+      (Search.proc_source ~interner
+         ~make_step:(fun () -> Semantics.make_cached defs)
+         impl)

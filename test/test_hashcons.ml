@@ -1,14 +1,12 @@
 (* Hash-consing invariants, and the structural-equality oracle: the
    id-based interner must be observationally identical to a deep
-   structural-equality build of every stock check. *)
+   structural-equality build of the seed engine ([Helpers.raw_check]),
+   which steps and interns process terms on the fly. *)
 
 open Csp
 module AT = Security.Attack_tree
 
 let check_string = Alcotest.(check string)
-
-(* every oracle run is parameterised only by the interner choice *)
-let cfg interner = Check_config.(default |> with_interner interner)
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: equal/hash agree with structural equality                   *)
@@ -94,46 +92,39 @@ let agree name runs =
         (render (run `Id)))
     runs
 
+(* The requirement checks keep their specifications private, so the
+   scenario legs check the systems they are run on: trace self-refinement
+   and the determinism self-check, which interns the system's states on
+   both sides of the product. *)
+let scenario_legs (s : Ota.Scenario.t) =
+  let check model interner =
+    Helpers.raw_check ~interner s.Ota.Scenario.defs ~model
+      ~spec:s.Ota.Scenario.system ~impl:s.Ota.Scenario.system
+  in
+  [ "traces", check `Traces; "deterministic", check `Determinism ]
+
 let test_requirements_oracle () =
-  let s = Ota.Scenario.make () in
-  agree "requirements"
-    [
-      "R01", (fun interner -> Ota.Requirements.r01 ~config:(cfg interner) s);
-      "SP02", (fun interner -> Ota.Requirements.r02 ~config:(cfg interner) s);
-      "SP02-delivered", (fun interner -> Ota.Requirements.r02_delivered ~config:(cfg interner) s);
-      "SP02-liveness", (fun interner -> Ota.Requirements.r02_liveness ~config:(cfg interner) s);
-      "R03", (fun interner -> Ota.Requirements.r03 ~config:(cfg interner) s);
-      "R04", (fun interner -> Ota.Requirements.r04 ~config:(cfg interner) s);
-      "R05v1", (fun interner -> Ota.Requirements.r05 ~config:(cfg interner) s ~version:1);
-    ]
+  agree "secure-update" (scenario_legs (Ota.Scenario.make ()))
 
 let test_requirements_oracle_intruder () =
-  (* the intruder scenario makes R05 fail — the Fails side of the suite *)
-  let s = Ota.Scenario.make ~check_macs:false ~medium:Ota.Scenario.Intruder () in
-  agree "requirements-intruder"
-    [
-      "R05v1", (fun interner -> Ota.Requirements.r05 ~config:(cfg interner) s ~version:1);
-      "SP02", (fun interner -> Ota.Requirements.r02 ~config:(cfg interner) s);
-    ]
+  agree "intruder"
+    (scenario_legs
+       (Ota.Scenario.make ~check_macs:false ~medium:Ota.Scenario.Intruder ()))
 
 let test_ns_oracle () =
+  let traces ~max_pairs ~fixed interner =
+    let defs, system = Security.Ns_protocol.build ~fixed in
+    let spec = Security.Ns_protocol.authentication_spec defs in
+    Helpers.raw_check ~interner ~max_states:2_000_000 ?max_pairs defs
+      ~model:`Traces ~spec ~impl:system
+  in
   agree "needham-schroeder"
     [
       (* the broken protocol fails quickly with Lowe's attack trace *)
-      "broken", (fun interner ->
-        Security.Ns_protocol.check
-          ~config:(Check_config.with_interner interner
-                     Security.Ns_protocol.default_config)
-          ~fixed:false ());
+      "broken", traces ~max_pairs:None ~fixed:false;
       (* a pair-budgeted run of the fixed protocol: Inconclusive, but the
          explored prefix and resume hint must still be identical *)
-      ( "fixed-budgeted",
-        fun interner ->
-          let defs, system = Security.Ns_protocol.build ~fixed:true in
-          let spec = Security.Ns_protocol.authentication_spec defs in
-          Refine.check
-            ~config:Check_config.(cfg interner |> with_max_pairs 500)
-            defs ~spec ~impl:system );
+      "fixed-budgeted", traces ~max_pairs:(Some 500) ~fixed:true;
     ]
 
 let test_attack_tree_oracle () =
@@ -155,21 +146,35 @@ let test_attack_tree_oracle () =
   let replay_only =
     AT.to_proc (AT.ordered_and [ AT.action "capture" []; AT.action "inject" [] ])
   in
+  let check model ~spec ~impl interner =
+    Helpers.raw_check ~interner (make_defs ()) ~model ~spec ~impl
+  in
   agree "attack-tree"
     [
-      ( "replay-refines-tree",
-        fun interner ->
-          Refine.traces_refines ~config:(cfg interner) (make_defs ())
-            ~spec:proc ~impl:replay_only );
-      ( "tree-exceeds-replay",
-        fun interner ->
-          Refine.traces_refines ~config:(cfg interner) (make_defs ())
-            ~spec:replay_only ~impl:proc );
-      ( "self-failures",
-        fun interner ->
-          Refine.failures_refines ~config:(cfg interner) (make_defs ())
-            ~spec:proc ~impl:proc );
+      "replay-refines-tree", check `Traces ~spec:proc ~impl:replay_only;
+      "tree-exceeds-replay", check `Traces ~spec:replay_only ~impl:proc;
+      "self-failures", check `Failures ~spec:proc ~impl:proc;
     ]
+
+(* Random pairs in every model the on-the-fly engine serves. *)
+let interners_agree =
+  QCheck.Test.make ~count:100
+    ~name:"id and structural interning render identically on random checks"
+    (QCheck.pair Helpers.arb_proc Helpers.arb_proc)
+    (fun (spec, impl) ->
+      let defs = Helpers.make_defs () in
+      List.for_all
+        (fun model ->
+          let run interner =
+            render
+              (Helpers.raw_check ~interner ~max_states:50_000 defs ~model
+                 ~spec ~impl)
+          in
+          let id = run `Id and structural = run `Structural in
+          String.equal id structural
+          || QCheck.Test.fail_reportf "id: %s@.structural: %s@.spec=%s@.impl=%s"
+               id structural (Proc.to_string spec) (Proc.to_string impl))
+        [ `Traces; `Failures; `Determinism ])
 
 let suite =
   ( "hashcons",
@@ -183,4 +188,5 @@ let suite =
         test_requirements_oracle_intruder;
       Alcotest.test_case "oracle: Needham-Schroeder" `Quick test_ns_oracle;
       Alcotest.test_case "oracle: attack trees" `Quick test_attack_tree_oracle;
+      QCheck_alcotest.to_alcotest interners_agree;
     ] )

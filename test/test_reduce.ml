@@ -1,9 +1,10 @@
 (* The staged reduction pipeline: --reductions parsing, staged
    compilation against the one-shot compiler, each graph pass actually
    reducing what it claims to reduce, the reduced engine's verdicts and
-   counterexamples staying byte-identical to the raw engine's for every
-   pass combination and worker count, and checkpoints recording the
-   pipeline they were taken under. *)
+   counterexamples staying byte-identical to the unreduced search's for
+   every pass combination, agreement with the seed engine
+   ([Helpers.raw_check]), and checkpoints recording the pipeline they were
+   taken under. *)
 
 open Csp
 
@@ -97,13 +98,39 @@ let staged_compile_agrees =
       in
       let expected = traces_to_depth raw 5 in
       let got = traces_to_depth staged 5 in
-      if expected = got then true
-      else
-        QCheck.Test.fail_reportf
-          "trace sets to depth 5 differ on %s:@.raw:    %s@.staged: %s"
-          (Proc.to_string p)
-          (String.concat " " expected)
-          (String.concat " " got))
+      let terms lts =
+        List.sort_uniq Proc.compare (Array.to_list lts.Lts.states)
+      in
+      (expected = got
+      || QCheck.Test.fail_reportf
+           "trace sets to depth 5 differ on %s:@.raw:    %s@.staged: %s"
+           (Proc.to_string p)
+           (String.concat " " expected)
+           (String.concat " " got))
+      && (List.equal Proc.equal (terms raw) (terms staged)
+         || QCheck.Test.fail_reportf "the state terms differ on %s"
+              (Proc.to_string p)))
+
+(* The decomposition unfolds named calls, but the term semantics keeps a
+   call as a state of its own: the staged graph must reach the same
+   states, or normal-form nodes and state counts would depend on which
+   compiler built a graph. *)
+let test_staged_keeps_call_states () =
+  let defs = Helpers.make_defs () in
+  Defs.define_proc defs "A" [] (Helpers.send "a" 0 (Proc.call ("A", [])));
+  Defs.define_proc defs "B" [] (Helpers.send "b" 0 (Proc.call ("B", [])));
+  Defs.define_proc defs "SYS" []
+    (Proc.inter (Proc.call ("A", []), Proc.call ("B", [])));
+  let sys = Proc.call ("SYS", []) in
+  let terms = function
+    | Lts.Complete lts ->
+      List.sort_uniq Proc.compare (Array.to_list lts.Lts.states)
+    | Lts.Partial _ -> Alcotest.fail "the compile was partial"
+  in
+  Alcotest.(check (list Helpers.proc_testable))
+    "the same states as the term semantics"
+    (terms (Lts.compile_budgeted defs sys))
+    (terms (Reduce.compile_staged defs sys))
 
 (* ------------------------------------------------------------------ *)
 (* Each pass earns its keep                                            *)
@@ -134,21 +161,23 @@ let test_dead_and_tau_collapse () =
   let defs = Helpers.make_defs () in
   let impl = chain "a" 60 in
   let spec = Proc.run (Eventset.chan "a") in
-  let raw =
-    Refine.check
-      ~config:Check_config.(default |> with_reductions [])
-      defs ~spec ~impl
-  in
-  let raw_pairs =
-    match raw with
+  let unreduced_pairs =
+    match
+      Refine.check
+        ~config:Check_config.(default |> with_reductions [])
+        defs ~spec ~impl
+    with
     | Refine.Holds s -> s.Refine.pairs
-    | r -> Alcotest.failf "raw engine should hold, got %a" Refine.pp_result r
+    | r ->
+      Alcotest.failf "the unreduced search should hold, got %a"
+        Refine.pp_result r
   in
   let reduced = Refine.check defs ~spec ~impl in
   let stats, before, after = reduction_stats "tau" reduced in
   check_bool "tau compression shrank the graph" true (after < before);
-  check_bool "the reduced product is far smaller than the raw one" true
-    (stats.Refine.pairs < 10 && raw_pairs > 50);
+  check_bool "the reduced product is far smaller than the unreduced one"
+    true
+    (stats.Refine.pairs < 10 && unreduced_pairs > 50);
   check_string "all graph passes are on record" "dead,tau,bisim"
     (String.concat ","
        (List.map (fun (p, _, _) -> p) stats.Refine.reductions))
@@ -183,17 +212,17 @@ let test_por_prunes_interleavings () =
     | Refine.Holds s -> s.Refine.pairs
     | r -> Alcotest.failf "expected Holds, got %a" Refine.pp_result r
   in
-  let raw = pairs Check_config.(default |> with_reductions []) in
+  let unreduced = pairs Check_config.(default |> with_reductions []) in
   let por =
     pairs Check_config.(default |> with_reductions [ Reduce.Por ])
   in
-  check_int "the raw search explores the full 7x7 grid" 49 raw;
+  check_int "the unreduced search explores the full 7x7 grid" 49 unreduced;
   check_bool
-    (Printf.sprintf "ample sets prune the grid (%d < %d)" por raw)
-    true (por < raw)
+    (Printf.sprintf "ample sets prune the grid (%d < %d)" por unreduced)
+    true (por < unreduced)
 
 (* ------------------------------------------------------------------ *)
-(* Reduced verdicts are byte-identical to raw ones                     *)
+(* Reduced verdicts are byte-identical to unreduced ones               *)
 (* ------------------------------------------------------------------ *)
 
 (* Verdict plus counterexample, stats excluded: exploration counts
@@ -210,11 +239,11 @@ let all_subsets =
     (fun acc p -> acc @ List.map (fun s -> s @ [ p ]) acc)
     [ [] ] Reduce.default_pipeline
 
-let reduced_equals_raw =
+let reduced_equals_unreduced =
   QCheck.Test.make ~count:12
     ~name:
-      "every pass combination at every refinement model matches the raw \
-       engine"
+      "every pass combination at every refinement model matches the \
+       unreduced search"
     (QCheck.pair Helpers.arb_proc Helpers.arb_proc)
     (fun (spec, impl) ->
       let defs = Helpers.make_defs () in
@@ -241,7 +270,7 @@ let reduced_equals_raw =
               if String.equal expected got then true
               else
                 QCheck.Test.fail_reportf
-                  "reductions=%s model=%s diverged:@.raw: %s@.got: \
+                  "reductions=%s model=%s diverged:@.none: %s@.got: \
                    %s@.spec=%s@.impl=%s"
                   (Reduce.pipeline_to_string pipeline)
                   (match model with
@@ -251,6 +280,92 @@ let reduced_equals_raw =
                   expected got (Proc.to_string spec) (Proc.to_string impl))
             all_subsets)
         [ Refine.Traces; Refine.Failures; Refine.Failures_divergences ])
+
+(* ------------------------------------------------------------------ *)
+(* The seed engine is the oracle                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The staged engine and the seed engine ([Helpers.raw_check]) may order
+   the successors of a state differently, so among several minimal
+   counterexamples they can pick different ones. Everything else must
+   agree: the verdict, the length of the counterexample and the kind of
+   violation, and the counterexample must be genuine — a trace of the
+   implementation and, for a trace violation, one event past a trace of
+   the specification. *)
+let agrees_with_seed_engine =
+  let kind = function
+    | Refine.Trace_violation _ -> "trace"
+    | Refine.Refusal_violation _ -> "refusal"
+    | Refine.Deadlock -> "deadlock"
+    | Refine.Divergence -> "divergence"
+  in
+  let verdict = function
+    | Refine.Holds _ -> "holds"
+    | Refine.Fails cex ->
+      Printf.sprintf "fails/%d/%s" (List.length cex.Refine.trace)
+        (kind cex.Refine.violation)
+    | Refine.Inconclusive _ -> "inconclusive"
+  in
+  let is_trace_of defs p trace =
+    List.exists
+      (List.equal Event.equal_label trace)
+      (Traces.of_proc ~depth:(List.length trace) defs p)
+  in
+  QCheck.Test.make ~count:40
+    ~name:"every pipeline at every model agrees with the seed engine"
+    (QCheck.pair Helpers.arb_proc Helpers.arb_proc)
+    (fun (spec, impl) ->
+      let defs = Helpers.make_defs () in
+      List.for_all
+        (fun (model, oracle_model) ->
+          let oracle =
+            verdict
+              (Helpers.raw_check ~max_states:50_000 defs ~model:oracle_model
+                 ~spec ~impl)
+          in
+          List.for_all
+            (fun pipeline ->
+              let config =
+                Check_config.(
+                  default |> with_max_states 50_000
+                  |> with_reductions pipeline)
+              in
+              let result = Refine.check ~config ~model defs ~spec ~impl in
+              let fail what =
+                QCheck.Test.fail_reportf
+                  "reductions=%s model=%s: %s@.seed: %s@.got: %a@.spec=%s@.\
+                   impl=%s"
+                  (Reduce.pipeline_to_string pipeline)
+                  (match model with
+                   | Refine.Traces -> "T"
+                   | Refine.Failures -> "F"
+                   | Refine.Failures_divergences -> "FD")
+                  what oracle Refine.pp_result result (Proc.to_string spec)
+                  (Proc.to_string impl)
+              in
+              (String.equal oracle (verdict result) || fail "verdicts differ")
+              &&
+              match result with
+              | Refine.Fails { Refine.trace; violation; _ } ->
+                (is_trace_of defs impl trace
+                || fail "not a trace of the implementation")
+                && (match violation with
+                    | Refine.Trace_violation _ ->
+                      is_trace_of defs spec
+                        (List.filteri
+                           (fun i _ -> i < List.length trace - 1)
+                           trace)
+                      || fail "the prefix is not a trace of the spec"
+                    | Refine.Refusal_violation _ | Refine.Deadlock
+                    | Refine.Divergence ->
+                      true)
+              | Refine.Holds _ | Refine.Inconclusive _ -> true)
+            all_subsets)
+        [
+          Refine.Traces, `Traces;
+          Refine.Failures, `Failures;
+          Refine.Failures_divergences, `Fd;
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* The dead-event pass walks the spec only as far as it must          *)
@@ -348,13 +463,14 @@ let test_checkpoint_pipeline_mismatch () =
   (* the same pipeline resumes to the verdict *)
   check_string "a matching resume completes" "holds"
     (render (Refine.resume ~checkpoint:cp defs ~spec:impl ~impl));
-  (* a raw-engine checkpoint names the raw engine, and a default-config
-     resume must follow the recording, not its own pipeline *)
-  let cp_raw = interrupted Check_config.(default |> with_reductions []) in
-  check_string "raw checkpoints are stamped none" "none"
-    cp_raw.Search.pipeline;
-  check_string "a raw checkpoint resumes on the raw path" "holds"
-    (render (Refine.resume ~checkpoint:cp_raw defs ~spec:impl ~impl))
+  (* an unreduced checkpoint is stamped none, and a default-config resume
+     must follow the recording, not its own pipeline *)
+  let cp_none = interrupted Check_config.(default |> with_reductions []) in
+  check_string "unreduced checkpoints are stamped none" "none"
+    cp_none.Search.pipeline;
+  check_string "a none checkpoint resumes on the unreduced staged search"
+    "holds"
+    (render (Refine.resume ~checkpoint:cp_none defs ~spec:impl ~impl))
 
 let suite =
   ( "reduce",
@@ -362,13 +478,16 @@ let suite =
       Alcotest.test_case "--reductions parsing and rendering" `Quick
         test_pipeline_strings;
       QCheck_alcotest.to_alcotest staged_compile_agrees;
+      Alcotest.test_case "staged compilation keeps an unfolded call's state"
+        `Quick test_staged_keeps_call_states;
       Alcotest.test_case "dead events + tau compression collapse" `Quick
         test_dead_and_tau_collapse;
       Alcotest.test_case "bisimulation quotienting merges equivalent states"
         `Quick test_bisim_quotients;
       Alcotest.test_case "ample sets prune independent interleavings" `Quick
         test_por_prunes_interleavings;
-      QCheck_alcotest.to_alcotest reduced_equals_raw;
+      QCheck_alcotest.to_alcotest reduced_equals_unreduced;
+      QCheck_alcotest.to_alcotest agrees_with_seed_engine;
       QCheck_alcotest.to_alcotest spec_free_matches_eager;
       Alcotest.test_case "checkpoints record and enforce their pipeline"
         `Quick test_checkpoint_pipeline_mismatch;

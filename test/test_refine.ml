@@ -109,6 +109,27 @@ let test_deadline () =
       (stats.Refine.pairs > 0 || stats.Refine.spec_nodes > 0)
   | r -> Alcotest.failf "expected Inconclusive, got %a" Refine.pp_result r
 
+let test_partial_compile_finds_early_violation () =
+  (* the implementation's graph is infinite, so materialising it for the
+     reduction passes runs out of states; the check falls back to the
+     on-the-fly search of the staged source, which meets the violation
+     at depth one *)
+  let defs = infinite_counter () in
+  let impl = send "a" 0 (Proc.call ("N", [ Expr.int 0 ])) in
+  check_bool "the staged compile is partial" true
+    (match Reduce.compile_staged ~max_states:100 defs impl with
+     | Lts.Partial _ -> true
+     | Lts.Complete _ -> false);
+  match
+    Refine.check ~max_states:100 defs
+      ~spec:(Proc.run (Eventset.chan "done_"))
+      ~impl
+  with
+  | Refine.Fails cex ->
+    Alcotest.(check (list label)) "the first event violates" [ vis "a" 0 ]
+      cex.Refine.trace
+  | r -> Alcotest.failf "expected a violation, got %a" Refine.pp_result r
+
 let test_deadline_does_not_mask_verdicts () =
   (* A tiny system finishes well inside any deadline; generous budgets
      must not change verdicts. *)
@@ -254,6 +275,8 @@ let suite =
       Alcotest.test_case "deadlock and divergence" `Quick test_deadlock_divergence_checks;
       Alcotest.test_case "state limits" `Quick test_state_limit;
       Alcotest.test_case "deadline budget" `Quick test_deadline;
+      Alcotest.test_case "a partial compile still finds an early violation"
+        `Quick test_partial_compile_finds_early_violation;
       Alcotest.test_case "deadline preserves verdicts" `Quick
         test_deadline_does_not_mask_verdicts;
       QCheck_alcotest.to_alcotest reflexive;

@@ -324,27 +324,48 @@ let test_ns_budgeted () =
   | Refine.Holds _ -> Alcotest.fail "1 ms should not complete the NS check"
   | Refine.Fails _ -> Alcotest.fail "the fixed protocol must not fail"
 
+let lowe_attack =
+  [
+    "running.a.i";
+    "send.a.i.(aenc.(pk.i).(msg1.(nonce.0).a))";
+    "recv.b.(aenc.(pk.b).(msg1.(nonce.0).a))";
+    "send.b.a.(aenc.(pk.a).(msg2.(nonce.0).(nonce.1)))";
+    "recv.a.(aenc.(pk.a).(msg2.(nonce.0).(nonce.1)))";
+    "send.a.i.(aenc.(pk.i).(msg3.(nonce.1)))";
+    "recv.b.(aenc.(pk.b).(msg3.(nonce.1)))";
+    "commit.b.a";
+  ]
+
+let lowe_counterexample config =
+  match Security.Ns_protocol.check ~config ~fixed:false () with
+  | Refine.Fails cex -> cex
+  | Refine.Holds _ | Refine.Inconclusive _ ->
+    Alcotest.fail "expected Lowe's man-in-the-middle attack"
+
 let test_ns_attack_found () =
   (* without the fix and without a deadline, Lowe's attack appears — and
      the BFS makes it the unique minimal trace, pinned event for event:
      a runs with the intruder, who replays a's first message to b *)
-  match Security.Ns_protocol.check ~fixed:false () with
-  | Refine.Fails cex ->
-    Alcotest.(check (list string))
-      "Lowe's attack trace"
-      [
-        "running.a.i";
-        "send.a.i.(aenc.(pk.i).(msg1.(nonce.0).a))";
-        "recv.b.(aenc.(pk.b).(msg1.(nonce.0).a))";
-        "send.b.a.(aenc.(pk.a).(msg2.(nonce.0).(nonce.1)))";
-        "recv.a.(aenc.(pk.a).(msg2.(nonce.0).(nonce.1)))";
-        "send.a.i.(aenc.(pk.i).(msg3.(nonce.1)))";
-        "recv.b.(aenc.(pk.b).(msg3.(nonce.1)))";
-        "commit.b.a";
-      ]
-      (List.map Event.label_to_string cex.Refine.trace)
-  | Refine.Holds _ | Refine.Inconclusive _ ->
-    Alcotest.fail "expected Lowe's man-in-the-middle attack"
+  let cex = lowe_counterexample Security.Ns_protocol.default_config in
+  Alcotest.(check (list string))
+    "Lowe's attack trace" lowe_attack
+    (List.map Event.label_to_string cex.Refine.trace)
+
+let test_ns_attack_independent_of_reductions () =
+  (* the default pipeline finds the attack on the reduced graph and
+     re-derives it on the unreduced staged search, which is what
+     [--reductions none] runs: the report is the same text *)
+  let text = Format.asprintf "%a" Refine.pp_counterexample in
+  let none =
+    lowe_counterexample
+      Check_config.(Security.Ns_protocol.default_config |> with_reductions [])
+  in
+  Alcotest.(check (list string))
+    "--reductions none reports Lowe's attack" lowe_attack
+    (List.map Event.label_to_string none.Refine.trace);
+  Alcotest.(check string)
+    "the default pipeline reports the same counterexample" (text none)
+    (text (lowe_counterexample Security.Ns_protocol.default_config))
 
 let suite =
   ( "security",
@@ -366,4 +387,6 @@ let suite =
         test_ns_budgeted;
       Alcotest.test_case "needham-schroeder attack without the fix" `Quick
         test_ns_attack_found;
+      Alcotest.test_case "the attack report does not depend on reductions"
+        `Quick test_ns_attack_independent_of_reductions;
     ] )

@@ -25,33 +25,47 @@ let is_ident_char c =
   || (c >= '0' && c <= '9')
   || c = '_' || c = '\''
 
-let lint_conversions path contents =
-  let n = String.length contents in
+(* Every occurrence of [name] in [contents] that is not the tail of a
+   longer identifier and, unless [prefix], not the head of one; [f] gets
+   the occurrence's line number and the offset just past it. Textual, so
+   comments and doc comments count. *)
+let scan_name ?(prefix = false) contents name f =
+  let n = String.length contents and ln = String.length name in
+  let line = ref 1 and counted = ref 0 in
   let line_of pos =
-    let l = ref 1 in
-    String.iteri (fun j c -> if j < pos && c = '\n' then incr l) contents;
-    !l
+    for j = !counted to pos - 1 do
+      if contents.[j] = '\n' then incr line
+    done;
+    counted := pos;
+    !line
   in
+  let rec scan from =
+    match String.index_from_opt contents from name.[0] with
+    | None -> ()
+    | Some i ->
+      if
+        i + ln <= n
+        && String.sub contents i ln = name
+        && (i = 0 || not (is_ident_char contents.[i - 1]))
+        && (prefix || i + ln = n || not (is_ident_char contents.[i + ln]))
+      then f (line_of i) (i + ln);
+      if i + 1 < n then scan (i + 1)
+  in
+  if n > 0 then scan 0
+
+let lint_conversions path contents =
   List.iter
     (fun name ->
-      let ln = String.length name in
-      let rec scan from =
-        if from < n then
-          match String.index_from_opt contents from name.[0] with
-          | None -> ()
-          | Some i ->
-            if
-              i + ln <= n
-              && String.sub contents i ln = name
-              && (i = 0 || not (is_ident_char contents.[i - 1]))
-              && not (i + ln + 4 <= n && String.sub contents (i + ln) 4 = "_opt")
-            then
-              complain path (line_of i)
-                (Printf.sprintf "bare %s (use %s_opt and report a positioned \
-                                 error)" name name);
-            scan (i + 1)
-      in
-      scan 0)
+      scan_name ~prefix:true contents name (fun line after ->
+          if
+            not
+              (after + 4 <= String.length contents
+              && String.sub contents after 4 = "_opt")
+          then
+            complain path line
+              (Printf.sprintf
+                 "bare %s (use %s_opt and report a positioned error)" name
+                 name)))
     banned_conversions
 
 (* Observability discipline: [lib/obs] owns the clock ({!Obs.now}) and the
@@ -65,33 +79,13 @@ let under_obs path =
   List.mem "obs" (String.split_on_char '/' path)
 
 let lint_effects path contents =
-  let n = String.length contents in
-  let line_of pos =
-    let l = ref 1 in
-    String.iteri (fun j c -> if j < pos && c = '\n' then incr l) contents;
-    !l
-  in
   List.iter
     (fun name ->
-      let ln = String.length name in
-      let rec scan from =
-        if from < n then
-          match String.index_from_opt contents from name.[0] with
-          | None -> ()
-          | Some i ->
-            if
-              i + ln <= n
-              && String.sub contents i ln = name
-              && (i = 0 || not (is_ident_char contents.[i - 1]))
-              && (i + ln = n || not (is_ident_char contents.[i + ln]))
-            then
-              complain path (line_of i)
-                (Printf.sprintf
-                   "%s outside lib/obs (route clocks and output through Obs)"
-                   name);
-            scan (i + 1)
-      in
-      scan 0)
+      scan_name contents name (fun line _ ->
+          complain path line
+            (Printf.sprintf
+               "%s outside lib/obs (route clocks and output through Obs)"
+               name)))
     banned_effects
 
 (* Interruption discipline: [lib/serve] owns signal handling (the
@@ -108,34 +102,14 @@ let under_serve path =
   List.mem "serve" (String.split_on_char '/' path)
 
 let lint_interruption path contents =
-  let n = String.length contents in
-  let line_of pos =
-    let l = ref 1 in
-    String.iteri (fun j c -> if j < pos && c = '\n' then incr l) contents;
-    !l
-  in
   List.iter
     (fun name ->
-      let ln = String.length name in
-      let rec scan from =
-        if from < n then
-          match String.index_from_opt contents from name.[0] with
-          | None -> ()
-          | Some i ->
-            if
-              i + ln <= n
-              && String.sub contents i ln = name
-              && (i = 0 || not (is_ident_char contents.[i - 1]))
-              && (i + ln = n || not (is_ident_char contents.[i + ln]))
-            then
-              complain path (line_of i)
-                (Printf.sprintf
-                   "%s outside lib/serve (route signals and sleeps through \
-                    Serve)"
-                   name);
-            scan (i + 1)
-      in
-      scan 0)
+      scan_name contents name (fun line _ ->
+          complain path line
+            (Printf.sprintf
+               "%s outside lib/serve (route signals and sleeps through \
+                Serve)"
+               name)))
     banned_interruption
 
 (* Digest discipline: [lib/csp/cache.ml] owns every cache key and
@@ -148,108 +122,69 @@ let under_cache path = Filename.basename path = "cache.ml"
                        || Filename.basename path = "cache.mli"
 
 let lint_digest path contents =
-  let n = String.length contents in
-  let line_of pos =
-    let l = ref 1 in
-    String.iteri (fun j c -> if j < pos && c = '\n' then incr l) contents;
-    !l
-  in
-  let name = "Digest." in
-  let ln = String.length name in
-  let rec scan from =
-    if from < n then
-      match String.index_from_opt contents from name.[0] with
-      | None -> ()
-      | Some i ->
-        if
-          i + ln <= n
-          && String.sub contents i ln = name
-          && (i = 0 || not (is_ident_char contents.[i - 1]))
-        then
-          complain path (line_of i)
-            "Digest outside lib/csp/cache (mint cache keys and fingerprints \
-             through Csp.Cache)";
-        scan (i + 1)
-  in
-  scan 0
+  scan_name ~prefix:true contents "Digest." (fun line _ ->
+      complain path line
+        "Digest outside lib/csp/cache (mint cache keys and fingerprints \
+         through Csp.Cache)")
 
-(* Domain discipline: parallelism lives only where the work is
-   independent — whole assertions ([cspm/check.ml]), trace streams
-   ([csp/tracecheck.ml], [serve/trace_run.ml]) and the daemon's stdin
-   reader ([serve/runner.ml]). The product search is one sequential loop
-   and must not silently grow a domain pool again. Textual, like the
-   other discipline lints. *)
-let spawn_allowed =
-  [ "cspm/check.ml"; "csp/tracecheck.ml"; "serve/trace_run.ml";
-    "serve/runner.ml" ]
+(* Confinement: names that may appear under lib/ only in the modules
+   listed with them (by path below lib/, without extension, so a
+   module's interface counts with its implementation). Textual, like the
+   other discipline lints: even a comment mention trips it.
 
-let may_spawn path =
-  let parent = Filename.basename (Filename.dirname path) in
-  List.mem (parent ^ "/" ^ Filename.basename path) spawn_allowed
+   - Domains: parallelism lives only where the work is independent —
+     whole assertions, trace streams and the daemon's stdin reader. The
+     product search is one sequential loop and must not silently grow a
+     domain pool again.
+   - The normal form is built on demand, node by node, as the product
+     search asks for it. Only the trace checker needs it whole (it
+     freezes every node into tables); a check path that forced it would
+     silently go back to eager normalisation.
+   - Every implementation term is compiled by the staged combinator tree
+     ([Reduce]). The one-shot compiler, the term-interning source and
+     the transition memo stay where they are the definition or the
+     specification side: [Lts], [Normalise] (and the modules that define
+     or re-export them), the staged tree's leaves and the conformance
+     replay. A check path that reached for them would bring back a
+     second way to compile a term. *)
+let confined =
+  let engine = "(implementations compile through Reduce's staged tree)" in
+  [
+    ( "Domain.spawn",
+      [ "cspm/check"; "csp/tracecheck"; "serve/trace_run"; "serve/runner" ],
+      "(keep the product search sequential)" );
+    ( "Normalise.force",
+      [ "csp/tracecheck" ],
+      "(check paths build the specification's normal form on demand)" );
+    "Lts.compile", [ "csp/lts" ], engine;
+    "Lts.compile_budgeted", [ "csp/lts" ], engine;
+    "Search.proc_source", [ "csp/normalise"; "csp/search" ], engine;
+    ( "Source.of_proc",
+      [ "csp/normalise"; "csp/source"; "csp/search" ],
+      engine );
+    ( "Semantics.make_cached",
+      [
+        "csp/semantics"; "csp/lts"; "csp/normalise"; "csp/reduce";
+        "core/conformance";
+      ],
+      engine );
+  ]
 
-let lint_spawn path contents =
-  let n = String.length contents in
-  let line_of pos =
-    let l = ref 1 in
-    String.iteri (fun j c -> if j < pos && c = '\n' then incr l) contents;
-    !l
+let lint_confined path contents =
+  let modname =
+    Filename.basename (Filename.dirname path)
+    ^ "/"
+    ^ Filename.remove_extension (Filename.basename path)
   in
-  let name = "Domain.spawn" in
-  let ln = String.length name in
-  let rec scan from =
-    if from < n then
-      match String.index_from_opt contents from name.[0] with
-      | None -> ()
-      | Some i ->
-        if
-          i + ln <= n
-          && String.sub contents i ln = name
-          && (i = 0 || not (is_ident_char contents.[i - 1]))
-          && (i + ln = n || not (is_ident_char contents.[i + ln]))
-        then
-          complain path (line_of i)
-            "Domain.spawn outside the assertion, trace-stream and daemon \
-             reader fan-outs (keep the product search sequential)";
-        scan (i + 1)
-  in
-  scan 0
-
-(* Normal-form discipline: the specification's normal form is built on
-   demand, node by node, as the product search asks for it. Only the trace
-   checker needs it whole (it freezes every node into tables), so
-   [Normalise.force] under lib/ is confined to [csp/tracecheck.ml]; a check
-   path that forced it would silently go back to eager normalisation.
-   Textual, like the other discipline lints. *)
-let may_force path =
-  let parent = Filename.basename (Filename.dirname path) in
-  String.equal (parent ^ "/" ^ Filename.basename path) "csp/tracecheck.ml"
-
-let lint_force path contents =
-  let n = String.length contents in
-  let line_of pos =
-    let l = ref 1 in
-    String.iteri (fun j c -> if j < pos && c = '\n' then incr l) contents;
-    !l
-  in
-  let name = "Normalise.force" in
-  let ln = String.length name in
-  let rec scan from =
-    if from < n then
-      match String.index_from_opt contents from name.[0] with
-      | None -> ()
-      | Some i ->
-        if
-          i + ln <= n
-          && String.sub contents i ln = name
-          && (i = 0 || not (is_ident_char contents.[i - 1]))
-          && (i + ln = n || not (is_ident_char contents.[i + ln]))
-        then
-          complain path (line_of i)
-            "Normalise.force outside csp/tracecheck (check paths build the \
-             specification's normal form on demand)";
-        scan (i + 1)
-  in
-  scan 0
+  List.iter
+    (fun (name, allowed, why) ->
+      if not (List.mem modname allowed) then
+        scan_name contents name (fun line _ ->
+            complain path line
+              (Printf.sprintf "%s outside %s %s" name
+                 (String.concat ", " allowed)
+                 why)))
+    confined
 
 (* Durable-output discipline: [lib/serve] owns file writing — [Fsio] for
    the atomic + durable primitive, [Trace_io] for the NDJSON corpus
@@ -261,34 +196,14 @@ let lint_force path contents =
 let banned_writers = [ "open_out"; "open_out_bin"; "open_out_gen" ]
 
 let lint_writers path contents =
-  let n = String.length contents in
-  let line_of pos =
-    let l = ref 1 in
-    String.iteri (fun j c -> if j < pos && c = '\n' then incr l) contents;
-    !l
-  in
   List.iter
     (fun name ->
-      let ln = String.length name in
-      let rec scan from =
-        if from < n then
-          match String.index_from_opt contents from name.[0] with
-          | None -> ()
-          | Some i ->
-            if
-              i + ln <= n
-              && String.sub contents i ln = name
-              && (i = 0 || not (is_ident_char contents.[i - 1]))
-              && (i + ln = n || not (is_ident_char contents.[i + ln]))
-            then
-              complain path (line_of i)
-                (Printf.sprintf
-                   "%s outside lib/serve (write through Serve.Fsio; NDJSON \
-                    corpora through Serve.Trace_io)"
-                   name);
-            scan (i + 1)
-      in
-      scan 0)
+      scan_name contents name (fun line _ ->
+          complain path line
+            (Printf.sprintf
+               "%s outside lib/serve (write through Serve.Fsio; NDJSON \
+                corpora through Serve.Trace_io)"
+               name)))
     banned_writers
 
 (* Library code must not kill the process or trip the always-on assertion
@@ -305,21 +220,7 @@ let lint_termination path contents =
     !l
   in
   let scan_literal name msg =
-    let ln = String.length name in
-    let rec scan from =
-      if from < n then
-        match String.index_from_opt contents from name.[0] with
-        | None -> ()
-        | Some i ->
-          if
-            i + ln <= n
-            && String.sub contents i ln = name
-            && (i = 0 || not (is_ident_char contents.[i - 1]))
-            && (i + ln = n || not (is_ident_char contents.[i + ln]))
-          then complain path (line_of i) msg;
-          scan (i + 1)
-    in
-    scan 0
+    scan_name contents name (fun line _ -> complain path line msg)
   in
   scan_literal "Stdlib.exit"
     "Stdlib.exit under lib/ (raise and let the CLI choose the exit code)";
@@ -451,8 +352,7 @@ let lint_file ~strict path =
         lint_writers path contents
       end;
       if not (under_cache path) then lint_digest path contents;
-      if not (may_spawn path) then lint_spawn path contents;
-      if not (may_force path) then lint_force path contents;
+      lint_confined path contents;
       if under_csp path && not (defines_identity path) then
         lint_poly_compare path contents
     end
