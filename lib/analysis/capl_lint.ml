@@ -96,107 +96,48 @@ let walk_node db (node, (prog : A.program)) =
       if Hashtbl.mem locals x then Hashtbl.replace local_used x ()
       else if Hashtbl.mem globals x then Hashtbl.replace global_used x ()
     in
-    let assign x = use x in
-    let rec expr e =
-      match e with
-      | A.E_int _ | A.E_float _ | A.E_char _ | A.E_string _ | A.E_this -> ()
-      | A.E_ident x -> use x
-      | A.E_member (b, _) -> expr b
-      | A.E_index (b, i) ->
-        expr b;
-        expr i
-      | A.E_call (fn, args) ->
-        (match fn, args with
-         | "output", A.E_ident v :: _ ->
-           (match ty_of v with
-            | Some (A.T_message sel) ->
-              facts.outputs <-
-                (key_of_selector db sel, sel, pos) :: facts.outputs
-            | _ -> ())
-         | ("setTimer" | "setTimerCyclic"), A.E_ident t :: _ ->
-           facts.timers_set <- (t, pos) :: facts.timers_set
-         | _ -> ());
-        List.iter expr args
-      | A.E_method (b, _, args) ->
-        expr b;
-        List.iter expr args
-      | A.E_unop (_, a) -> expr a
-      | A.E_binop (_, a, b) ->
-        expr a;
-        expr b
-      | A.E_assign (op, lhs, rhs) ->
-        expr rhs;
-        (match lhs with
-         | A.E_ident x ->
-           if op <> A.A_eq then use x;
-           assign x
-         | lhs -> expr lhs)
-      | A.E_incr (_, _, lv) ->
-        (match lv with
-         | A.E_ident x ->
-           use x;
-           assign x
-         | lv -> expr lv)
-      | A.E_ternary (c, a, b) ->
-        expr c;
-        expr a;
-        expr b
+    (* assignment targets count as uses, so every identifier is one *)
+    let expr =
+      A.iter_expr (function
+        | A.E_ident x -> use x
+        | A.E_call ("output", A.E_ident v :: _) ->
+          (match ty_of v with
+           | Some (A.T_message sel) ->
+             facts.outputs <-
+               (key_of_selector db sel, sel, pos) :: facts.outputs
+           | _ -> ())
+        | A.E_call (("setTimer" | "setTimerCyclic"), A.E_ident t :: _) ->
+          facts.timers_set <- (t, pos) :: facts.timers_set
+        | _ -> ())
     in
-    let rec stmts ss =
-      let rec scan = function
-        | [] -> ()
-        | s :: rest ->
-          stmt s;
-          (match s, rest with
-           | (A.S_return _ | A.S_break | A.S_continue), _ :: _ ->
-             let what =
-               match s with
-               | A.S_return _ -> "return"
-               | A.S_break -> "break"
-               | _ -> "continue"
-             in
-             diag ~pos Diag.Warning "CAPL007"
-               (Printf.sprintf
-                  "unreachable statement(s) after '%s' in the same block"
-                  what)
-           | _ -> ());
-          scan rest
-      in
-      scan ss
-    and stmt s =
-      match s with
-      | A.S_expr e -> expr e
-      | A.S_decl vars ->
-        List.iter
-          (fun (v : A.var_decl) ->
-            Hashtbl.replace locals v.A.var_name v.A.var_ty;
-            Option.iter expr v.A.var_init)
-          vars
-      | A.S_if (c, t, f) ->
-        expr c;
-        stmt t;
-        Option.iter stmt f
-      | A.S_while (c, b) ->
-        expr c;
-        stmt b
-      | A.S_do_while (b, c) ->
-        stmt b;
-        expr c
-      | A.S_for (init, cond, step, b) ->
-        Option.iter stmt init;
-        Option.iter expr cond;
-        stmt b;
-        Option.iter expr step
-      | A.S_switch (e, cases) ->
-        expr e;
-        List.iter
-          (fun (c : A.switch_case) ->
-            Option.iter expr c.A.case_label;
-            stmts c.A.case_body)
-          cases
-      | A.S_break | A.S_continue -> ()
-      | A.S_return e -> Option.iter expr e
-      | A.S_block ss -> stmts ss
+    (* a declaration's name is local from its own initialiser on *)
+    let rec stmts = function
+      | [] -> ()
+      | s :: rest ->
+        (match s with
+         | A.S_decl vars ->
+           List.iter
+             (fun (v : A.var_decl) ->
+               Hashtbl.replace locals v.A.var_name v.A.var_ty;
+               Option.iter expr v.A.var_init)
+             vars
+         | s ->
+           List.iter
+             (function A.C_expr e -> expr e | A.C_seq ss -> stmts ss)
+             (A.children s));
+        (match s, rest with
+         | (A.S_return _ | A.S_break | A.S_continue), _ :: _ ->
+           let what =
+             match s with
+             | A.S_return _ -> "return"
+             | A.S_break -> "break"
+             | _ -> "continue"
+           in
+           diag ~pos Diag.Warning "CAPL007"
+             (Printf.sprintf
+                "unreachable statement(s) after '%s' in the same block" what)
+         | _ -> ());
+        stmts rest
     in
     stmts body;
     (* CAPL009 for this body's locals (parameters are exempt). *)

@@ -51,68 +51,9 @@ let resolve (prog : A.program) name : target =
    for tests: every [E_call] callee name in a body, left to right. *)
 let calls_in_body (body : A.stmt list) : string list =
   let acc = ref [] in
-  let rec expr (e : A.expr) =
-    match e with
-    | A.E_int _ | A.E_float _ | A.E_char _ | A.E_string _ | A.E_ident _
-    | A.E_this ->
-      ()
-    | A.E_member (b, _) -> expr b
-    | A.E_index (b, i) ->
-      expr b;
-      expr i
-    | A.E_call (name, args) ->
-      acc := name :: !acc;
-      List.iter expr args
-    | A.E_method (b, _, args) ->
-      expr b;
-      List.iter expr args
-    | A.E_unop (_, a) -> expr a
-    | A.E_binop (_, a, b) ->
-      expr a;
-      expr b
-    | A.E_assign (_, l, r) ->
-      expr l;
-      expr r
-    | A.E_incr (_, _, a) -> expr a
-    | A.E_ternary (c, a, b) ->
-      expr c;
-      expr a;
-      expr b
-  in
-  let rec stmt (s : A.stmt) =
-    match s with
-    | A.S_expr e -> expr e
-    | A.S_decl vs ->
-      List.iter
-        (fun (v : A.var_decl) -> Option.iter expr v.A.var_init)
-        vs
-    | A.S_if (c, t, f) ->
-      expr c;
-      stmt t;
-      Option.iter stmt f
-    | A.S_while (c, b) ->
-      expr c;
-      stmt b
-    | A.S_do_while (b, c) ->
-      stmt b;
-      expr c
-    | A.S_for (i, c, st, b) ->
-      Option.iter stmt i;
-      Option.iter expr c;
-      Option.iter expr st;
-      stmt b
-    | A.S_switch (e, cases) ->
-      expr e;
-      List.iter
-        (fun (c : A.switch_case) ->
-          Option.iter expr c.A.case_label;
-          List.iter stmt c.A.case_body)
-        cases
-    | A.S_break | A.S_continue -> ()
-    | A.S_return e -> Option.iter expr e
-    | A.S_block ss -> List.iter stmt ss
-  in
-  List.iter stmt body;
+  A.iter_exprs
+    (function A.E_call (name, _) -> acc := name :: !acc | _ -> ())
+    body;
   List.rev !acc
 
 let of_program (prog : A.program) : (string * string list) list =

@@ -1,6 +1,6 @@
 (* Control-flow graphs over CAPL bodies — the substrate every dataflow
    client shares. One CFG per handler or function body: structured
-   control flow (if/while/do-while/for/switch with break, continue,
+   control flow (if, the one loop node, switch with break, continue,
    return and fallthrough) is desugared into basic blocks of straight-
    line instructions linked by untyped successor edges.
 
@@ -88,52 +88,19 @@ let build (body : A.stmt list) : t =
           | Some e -> link e join
           | None -> ()));
       Some join
-    | A.S_while (c, b) ->
-      let head = new_block () in
-      link cur head;
-      add head (I_branch c);
-      let bb = new_block () and after = new_block () in
+    | A.S_loop { cond; body; step; test_first } ->
+      (* head tests [cond]; the body ends, and [continue] lands, in the
+         step block, which loops back to the head *)
+      let head = new_block () and bb = new_block () in
+      let stepb = new_block () and after = new_block () in
+      link cur (if test_first then head else bb);
+      Option.iter (fun c -> add head (I_branch c)) cond;
       link head bb;
-      link head after;
-      (match stmt (Some bb) ~brk:(Some after) ~cont:(Some head) b with
-       | Some e -> link e head
-       | None -> ());
-      Some after
-    | A.S_do_while (b, c) ->
-      let bb = new_block () and cond = new_block () and after = new_block () in
-      link cur bb;
-      (match stmt (Some bb) ~brk:(Some after) ~cont:(Some cond) b with
-       | Some e -> link e cond
-       | None -> ());
-      add cond (I_branch c);
-      link cond bb;
-      link cond after;
-      Some after
-    | A.S_for (init, c, step, b) ->
-      let cur =
-        match init with
-        | None -> Some cur
-        | Some i -> stmt (Some cur) ~brk ~cont i
-      in
-      let cur =
-        match cur with
-        | Some c -> c
-        | None -> new_block ()
-      in
-      let head = new_block () in
-      link cur head;
-      (match c with
-       | Some c -> add head (I_branch c)
-       | None -> ());
-      let bb = new_block () and stepb = new_block () and after = new_block () in
-      link head bb;
-      (* a condition-less [for (;;)] only exits via break *)
-      if Option.is_some c then link head after;
-      (match step with
-       | Some e -> add stepb (I_expr e)
-       | None -> ());
+      (* a condition-less loop only exits via break *)
+      if Option.is_some cond then link head after;
+      Option.iter (fun e -> add stepb (I_expr e)) step;
       link stepb head;
-      (match stmt (Some bb) ~brk:(Some after) ~cont:(Some stepb) b with
+      (match stmt (Some bb) ~brk:(Some after) ~cont:(Some stepb) body with
        | Some e -> link e stepb
        | None -> ());
       Some after

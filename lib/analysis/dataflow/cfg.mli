@@ -1,10 +1,11 @@
 (** Control-flow graphs over CAPL bodies — the shared substrate of the
     dataflow analyses.
 
-    [build] desugars one handler or function body (if/while/do-while/for/
-    switch, break/continue/return, fallthrough between cases) into basic
-    blocks of straight-line instructions linked by untyped successor
-    edges. Conditions sit in the block that evaluates them; both
+    [build] desugars one handler or function body (if, the single loop
+    node [Capl.Ast.S_loop] that every C loop parses to, switch,
+    break/continue/return, fallthrough between cases) into basic blocks
+    of straight-line instructions linked by untyped successor edges.
+    Conditions sit in the block that evaluates them; both
     outcomes are successors, so clients are path-insensitive in the
     branch {e direction} while still seeing every side effect.
     Unreachable statements get predecessor-less blocks a fixpoint seeded

@@ -389,26 +389,17 @@ let replay_instr ~is_local ~flag_read ~check_narrow ~check_decl st
 
 let local_decls body =
   let acc = ref [] in
-  let decl (v : A.var_decl) = acc := (v.A.var_name, v.A.var_ty) :: !acc in
-  let rec stmt s =
-    match s with
-    | A.S_expr _ | A.S_break | A.S_continue | A.S_return _ -> ()
-    | A.S_decl vs -> List.iter decl vs
-    | A.S_if (_, t, f) ->
-      stmt t;
-      Option.iter stmt f
-    | A.S_while (_, b) -> stmt b
-    | A.S_do_while (b, _) -> stmt b
-    | A.S_for (i, _, _, b) ->
-      Option.iter stmt i;
-      stmt b
-    | A.S_switch (_, cases) ->
-      List.iter
-        (fun (c : A.switch_case) -> List.iter stmt c.A.case_body)
-        cases
-    | A.S_block ss -> List.iter stmt ss
+  let rec seq ss = List.iter stmt ss
+  and stmt s =
+    (match s with
+     | A.S_decl vs ->
+       List.iter
+         (fun (v : A.var_decl) -> acc := (v.A.var_name, v.A.var_ty) :: !acc)
+         vs
+     | _ -> ());
+    List.iter (function A.C_seq ss -> seq ss | A.C_expr _ -> ()) (A.children s)
   in
-  List.iter stmt body;
+  seq body;
   !acc
 
 (* Names assigned (directly) anywhere in the program's bodies — the
@@ -416,77 +407,17 @@ let local_decls body =
    body entry; everything else decays to its storage range. *)
 let assigned_anywhere (prog : A.program) =
   let acc = ref SSet.empty in
-  let target e =
-    match e with
-    | A.E_ident x -> acc := SSet.add x !acc
+  let target = function
+    | A.E_assign (_, A.E_ident x, _) | A.E_incr (_, _, A.E_ident x) ->
+      acc := SSet.add x !acc
     | _ -> ()
   in
-  let rec expr e =
-    match e with
-    | A.E_int _ | A.E_float _ | A.E_char _ | A.E_string _ | A.E_ident _
-    | A.E_this ->
-      ()
-    | A.E_member (b, _) -> expr b
-    | A.E_index (b, i) ->
-      expr b;
-      expr i
-    | A.E_call (_, args) -> List.iter expr args
-    | A.E_method (b, _, args) ->
-      expr b;
-      List.iter expr args
-    | A.E_unop (_, a) -> expr a
-    | A.E_binop (_, a, b) ->
-      expr a;
-      expr b
-    | A.E_assign (_, lhs, rhs) ->
-      target lhs;
-      expr rhs;
-      (match lhs with
-       | A.E_ident _ -> ()
-       | lhs -> expr lhs)
-    | A.E_incr (_, _, lv) ->
-      target lv;
-      (match lv with
-       | A.E_ident _ -> ()
-       | lv -> expr lv)
-    | A.E_ternary (c, a, b) ->
-      expr c;
-      expr a;
-      expr b
-  in
-  let rec stmt s =
-    match s with
-    | A.S_expr e -> expr e
-    | A.S_decl vs ->
-      List.iter (fun (v : A.var_decl) -> Option.iter expr v.A.var_init) vs
-    | A.S_if (c, t, f) ->
-      expr c;
-      stmt t;
-      Option.iter stmt f
-    | A.S_while (c, b) ->
-      expr c;
-      stmt b
-    | A.S_do_while (b, c) ->
-      stmt b;
-      expr c
-    | A.S_for (i, c, st', b) ->
-      Option.iter stmt i;
-      Option.iter expr c;
-      Option.iter expr st';
-      stmt b
-    | A.S_switch (e, cases) ->
-      expr e;
-      List.iter
-        (fun (c : A.switch_case) ->
-          Option.iter expr c.A.case_label;
-          List.iter stmt c.A.case_body)
-        cases
-    | A.S_break | A.S_continue -> ()
-    | A.S_return e -> Option.iter expr e
-    | A.S_block ss -> List.iter stmt ss
-  in
-  List.iter (fun (h : A.handler) -> List.iter stmt h.A.body) prog.A.handlers;
-  List.iter (fun (f : A.func) -> List.iter stmt f.A.fn_body) prog.A.functions;
+  List.iter
+    (fun (h : A.handler) -> A.iter_exprs target h.A.body)
+    prog.A.handlers;
+  List.iter
+    (fun (f : A.func) -> A.iter_exprs target f.A.fn_body)
+    prog.A.functions;
   !acc
 
 let init_tracked (v : A.var_decl) =

@@ -6,7 +6,13 @@
     timer], [on key], [on start], ...) and user-defined functions. There is
     no [main]. This AST covers the constructs the paper's grammar handled
     ([on message], [output]) plus the "future work" constructs: functions,
-    data structures, control flow, timers and message-member access. *)
+    data structures, control flow, timers and message-member access.
+
+    Control flow is lowered once, by the parser: the three C loops become
+    the single node [S_loop], so the checker, interpreter, extractor and
+    CFG builder each give loops meaning in one place. Every other walker
+    reaches statements and expressions through {!children} and
+    {!expr_children}. *)
 
 type pos = {
   line : int;
@@ -79,13 +85,22 @@ type var_decl = {
   var_pos : pos;
 }
 
+(** Statements. The three C loops share one node: [while (c) b] is
+    [S_loop { cond = Some c; body = b; step = None; test_first = true }],
+    [do b while (c);] the same with [test_first = false], and
+    [for (i; c; u) b] is [S_block [i; S_loop { cond = c; body = b;
+    step = u; test_first = true }]], so the init keeps its own scope.
+    [continue] runs [step], then the test. *)
 type stmt =
   | S_expr of expr
   | S_decl of var_decl list
   | S_if of expr * stmt * stmt option
-  | S_while of expr * stmt
-  | S_do_while of stmt * expr
-  | S_for of stmt option * expr option * expr option * stmt
+  | S_loop of {
+      cond : expr option;  (** [None] loops until [break] *)
+      body : stmt;
+      step : expr option;  (** evaluated after the body and on [continue] *)
+      test_first : bool;  (** [false] for [do ... while] *)
+    }
   | S_switch of expr * switch_case list
   | S_break
   | S_continue
@@ -96,6 +111,62 @@ and switch_case = {
   case_label : expr option;  (** [None] is [default:] *)
   case_body : stmt list;
 }
+
+(** A direct child of a statement: an expression it evaluates, or a
+    statement sequence it contains (a block, a branch, a loop body or a
+    case body). *)
+type child =
+  | C_expr of expr
+  | C_seq of stmt list
+
+(** The direct children of [s], in source order. Walkers that only need
+    to reach every statement and expression recurse through this rather
+    than matching every statement form. *)
+let children (s : stmt) : child list =
+  let opt = function Some e -> [ C_expr e ] | None -> [] in
+  match s with
+  | S_expr e -> [ C_expr e ]
+  | S_decl ds -> List.concat_map (fun d -> opt d.var_init) ds
+  | S_if (c, a, b) ->
+    C_expr c :: C_seq [ a ]
+    :: List.map (fun b -> C_seq [ b ]) (Option.to_list b)
+  | S_loop { cond; body; step; test_first = true } ->
+    opt cond @ opt step @ [ C_seq [ body ] ]
+  | S_loop { cond; body; step; test_first = false } ->
+    (C_seq [ body ] :: opt step) @ opt cond
+  | S_switch (e, cases) ->
+    C_expr e
+    :: List.concat_map (fun c -> opt c.case_label @ [ C_seq c.case_body ]) cases
+  | S_break | S_continue -> []
+  | S_return e -> opt e
+  | S_block ss -> [ C_seq ss ]
+
+(** The direct subexpressions of [e], in source order. *)
+let expr_children (e : expr) : expr list =
+  match e with
+  | E_int _ | E_float _ | E_char _ | E_string _ | E_ident _ | E_this -> []
+  | E_member (a, _) | E_unop (_, a) | E_incr (_, _, a) -> [ a ]
+  | E_index (a, b) | E_binop (_, a, b) | E_assign (_, a, b) -> [ a; b ]
+  | E_call (_, args) -> args
+  | E_method (a, _, args) -> a :: args
+  | E_ternary (a, b, c) -> [ a; b; c ]
+
+(** [iter_expr f e] applies [f] to [e] and then to each of its nested
+    subexpressions, in source order. *)
+let rec iter_expr f e =
+  f e;
+  List.iter (iter_expr f) (expr_children e)
+
+(** [iter_exprs f body] applies {!iter_expr}[ f] to every expression of
+    [body], nested statements included, in source order. *)
+let iter_exprs f body =
+  let rec seq ss = List.iter stmt ss
+  and stmt s =
+    List.iter
+      (function C_expr e -> iter_expr f e | C_seq ss -> seq ss)
+      (children s)
+  in
+  seq body
 
 type event =
   | Ev_start  (** [on start] *)

@@ -530,20 +530,24 @@ and call t ctx name args =
            (List.length f.Ast.fn_params);
        if t.depth >= max_call_depth then err "call depth exceeded in %s" name;
        let values = List.map (eval t ctx) args in
-       let scope = Hashtbl.create 8 in
-       List.iter2
-         (fun (ty, pname) v ->
-           Hashtbl.replace scope pname { cell_ty = ty; cell_v = coerce ty v })
-         f.Ast.fn_params values;
-       let fctx = { scopes = [ scope ]; this = ctx.this } in
        t.depth <- t.depth + 1;
-       let result =
-         match exec_block t fctx f.Ast.fn_body with
-         | () -> V_int 0
-         | exception Ret v -> v
-       in
+       let result = run_function t ?this:ctx.this f values in
        t.depth <- t.depth - 1;
        result)
+
+(* A function body is its own [break]/[continue] boundary: one that
+   escapes it is a runtime error, never a jump in the caller's loop. *)
+and run_function t ?this f values =
+  let scope = Hashtbl.create 8 in
+  List.iter2
+    (fun (ty, pname) v ->
+      Hashtbl.replace scope pname { cell_ty = ty; cell_v = coerce ty v })
+    f.Ast.fn_params values;
+  match exec_block t { scopes = [ scope ]; this } f.Ast.fn_body with
+  | () -> V_int 0
+  | exception Ret v -> v
+  | exception Brk -> err "break escaped function %s" f.Ast.fn_name
+  | exception Cont -> err "continue escaped function %s" f.Ast.fn_name
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
@@ -571,33 +575,18 @@ and exec t ctx (s : Ast.stmt) : unit =
   | Ast.S_if (c, a, b) ->
     if truthy (eval t ctx c) then exec_in_scope t ctx a
     else Option.iter (exec_in_scope t ctx) b
-  | Ast.S_while (c, body) ->
+  | Ast.S_loop { cond; body; step; test_first } ->
+    let holds () =
+      match cond with
+      | None -> true
+      | Some c -> truthy (eval t ctx c)
+    in
     (try
-       while truthy (eval t ctx c) do
-         try exec_in_scope t ctx body with Cont -> ()
-       done
-     with Brk -> ())
-  | Ast.S_do_while (body, c) ->
-    (try
-       let continue_ = ref true in
-       while !continue_ do
+       let go = ref ((not test_first) || holds ()) in
+       while !go do
          (try exec_in_scope t ctx body with Cont -> ());
-         continue_ := truthy (eval t ctx c)
-       done
-     with Brk -> ())
-  | Ast.S_for (init, cond, update, body) ->
-    let scope = Hashtbl.create 4 in
-    let ctx' = { ctx with scopes = scope :: ctx.scopes } in
-    Option.iter (exec t ctx') init;
-    (try
-       let continue_ () =
-         match cond with
-         | None -> true
-         | Some c -> truthy (eval t ctx' c)
-       in
-       while continue_ () do
-         (try exec_in_scope t ctx' body with Cont -> ());
-         Option.iter (fun u -> ignore (eval t ctx' u)) update
+         Option.iter (fun u -> ignore (eval t ctx u)) step;
+         go := holds ()
        done
      with Brk -> ())
   | Ast.S_switch (e, cases) ->
@@ -720,15 +709,7 @@ let call_function t name values =
   in
   if List.length f.Ast.fn_params <> List.length values then
     err "function %s expects %d arguments" name (List.length f.Ast.fn_params);
-  let scope = Hashtbl.create 8 in
-  List.iter2
-    (fun (ty, pname) v ->
-      Hashtbl.replace scope pname { cell_ty = ty; cell_v = coerce ty v })
-    f.Ast.fn_params values;
-  let ctx = { scopes = [ scope ]; this = None } in
-  match exec_block t ctx f.Ast.fn_body with
-  | () -> V_int 0
-  | exception Ret v -> v
+  run_function t f values
 
 let global t name =
   match Hashtbl.find_opt t.globals name with

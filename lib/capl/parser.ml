@@ -390,7 +390,8 @@ let rec statement st : Ast.stmt =
     eat st Lexer.LPAREN;
     let cond = expression st in
     eat st Lexer.RPAREN;
-    Ast.S_while (cond, statement st)
+    Ast.S_loop
+      { cond = Some cond; body = statement st; step = None; test_first = true }
   | Lexer.KW_do ->
     advance st;
     let body = statement st in
@@ -399,7 +400,7 @@ let rec statement st : Ast.stmt =
     let cond = expression st in
     eat st Lexer.RPAREN;
     eat st Lexer.SEMI;
-    Ast.S_do_while (body, cond)
+    Ast.S_loop { cond = Some cond; body; step = None; test_first = false }
   | Lexer.KW_for ->
     advance st;
     eat st Lexer.LPAREN;
@@ -422,13 +423,15 @@ let rec statement st : Ast.stmt =
       | _ -> Some (expression st)
     in
     eat st Lexer.SEMI;
-    let update =
+    let step =
       match current st with
       | Lexer.RPAREN -> None
       | _ -> Some (expression st)
     in
     eat st Lexer.RPAREN;
-    Ast.S_for (init, cond, update, statement st)
+    let body = statement st in
+    let loop = Ast.S_loop { cond; body; step; test_first = true } in
+    Ast.S_block (Option.to_list init @ [ loop ])
   | Lexer.KW_switch ->
     advance st;
     eat st Lexer.LPAREN;

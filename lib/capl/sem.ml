@@ -27,7 +27,8 @@ type ctx = {
   mutable where : string;
   mutable in_handler : bool;
   mutable this_msg : string option;  (* named message type of the handler *)
-  mutable loop_depth : int;
+  mutable in_loop : bool;
+  mutable in_breakable : bool;  (* inside a loop or a switch *)
   mutable fn_ret : Ast.ty option;  (* None when inside a handler *)
 }
 
@@ -63,7 +64,8 @@ let check ?db (prog : Ast.program) =
       where = "globals";
       in_handler = false;
       this_msg = None;
-      loop_depth = 0;
+      in_loop = false;
+      in_breakable = false;
       fn_ret = None;
     }
   in
@@ -226,24 +228,18 @@ let check ?db (prog : Ast.program) =
       block scopes [ a ];
       Option.iter (fun s -> block scopes [ s ]) b;
       []
-    | Ast.S_while (c, body) ->
-      expr scopes c;
-      in_loop (fun () -> block scopes [ body ]);
-      []
-    | Ast.S_do_while (body, c) ->
-      in_loop (fun () -> block scopes [ body ]);
-      expr scopes c;
-      []
-    | Ast.S_for (init, cond, update, body) ->
-      let intro = match init with Some s -> stmt scopes s | None -> [] in
-      let scopes' = intro :: scopes in
-      Option.iter (expr scopes') cond;
-      Option.iter (expr scopes') update;
-      in_loop (fun () -> block scopes' [ body ]);
+    | Ast.S_loop { cond; body; step; test_first } ->
+      let test () =
+        Option.iter (expr scopes) cond;
+        Option.iter (expr scopes) step
+      in
+      if test_first then test ();
+      enclosed ~loop:true (fun () -> block scopes [ body ]);
+      if not test_first then test ();
       []
     | Ast.S_switch (e, cases) ->
       expr scopes e;
-      in_loop (fun () ->
+      enclosed ~loop:false (fun () ->
           List.iter (fun c -> block scopes c.Ast.case_body) cases);
       let defaults =
         List.length (List.filter (fun c -> c.Ast.case_label = None) cases)
@@ -251,10 +247,10 @@ let check ?db (prog : Ast.program) =
       if defaults > 1 then err ctx "switch has %d default cases" defaults;
       []
     | Ast.S_break ->
-      if ctx.loop_depth = 0 then err ctx "break outside a loop or switch";
+      if not ctx.in_breakable then err ctx "break outside a loop or switch";
       []
     | Ast.S_continue ->
-      if ctx.loop_depth = 0 then err ctx "continue outside a loop";
+      if not ctx.in_loop then err ctx "continue outside a loop";
       []
     | Ast.S_return e ->
       (match ctx.fn_ret, e with
@@ -279,10 +275,15 @@ let check ?db (prog : Ast.program) =
         [] stmts
     in
     ()
-  and in_loop f =
-    ctx.loop_depth <- ctx.loop_depth + 1;
+  (* [break] leaves the innermost loop or switch; [continue] needs a loop,
+     and a switch inside one does not hide it. *)
+  and enclosed ~loop f =
+    let in_loop = ctx.in_loop and in_breakable = ctx.in_breakable in
+    ctx.in_loop <- in_loop || loop;
+    ctx.in_breakable <- true;
     f ();
-    ctx.loop_depth <- ctx.loop_depth - 1
+    ctx.in_loop <- in_loop;
+    ctx.in_breakable <- in_breakable
   in
   (* Global initializers. *)
   List.iter

@@ -415,19 +415,8 @@ and trans_stmt ?(depth = 0) ctx sym (s : A.stmt) ks =
          | None -> ks.next sym
        in
        P.ite (cond, then_p, else_p))
-  | A.S_while (c, body) ->
-    unroll_loop ~depth ctx sym ks ~cond:(Some c) ~body ~update:None
-      ~check_first:true
-  | A.S_do_while (body, c) ->
-    unroll_loop ~depth ctx sym ks ~cond:(Some c) ~body ~update:None
-      ~check_first:false
-  | A.S_for (init, cond, update, body) ->
-    let after_init sym' =
-      unroll_loop ~depth ctx sym' ks ~cond ~body ~update ~check_first:true
-    in
-    (match init with
-     | None -> after_init sym
-     | Some s -> trans_stmt ~depth ctx sym s { ks with next = after_init })
+  | A.S_loop { cond; body; step; test_first } ->
+    unroll_loop ~depth ctx sym ks ~cond ~body ~step ~test_first
   | A.S_switch (e, cases) ->
     let scrutinee = fold_expr ctx (int_expr ~depth ctx sym e) in
     (* fallthrough: entering case i executes the bodies from i on, with
@@ -473,7 +462,7 @@ and trans_stmt ?(depth = 0) ctx sym (s : A.stmt) ks =
   | A.S_return _ -> ks.exit sym
   | A.S_block body -> trans_stmts ~depth ctx sym body ks
 
-and unroll_loop ~depth ctx sym ks ~cond ~body ~update ~check_first =
+and unroll_loop ~depth ctx sym ks ~cond ~body ~step ~test_first =
   (* Loops are unrolled statically: the condition must fold to a constant
      at every iteration (typical CAPL loops iterate over literal bounds).
      A non-static condition is reported and the loop is skipped — an
@@ -486,12 +475,17 @@ and unroll_loop ~depth ctx sym ks ~cond ~body ~update ~check_first =
        | Some (Csp.Value.Bool b) -> Some b
        | Some _ | None -> None)
   in
-  let apply_update sym k =
-    match update with
+  let apply_step sym k =
+    match step with
     | None -> k sym
     | Some u -> effect_expr ~depth ctx sym u { ks with next = k; brk = None; cont = None }
   in
-  let rec iter sym n =
+  (* one pass through the body, then the step and the [n+1]th test *)
+  let rec pass sym n =
+    let again sym' = apply_step sym' (fun s -> iter s (n + 1)) in
+    trans_stmt ~depth ctx sym body
+      { ks with next = again; brk = Some ks.next; cont = Some again }
+  and iter sym n =
     if n >= ctx.config.max_unroll then begin
       warn ctx "loop exceeded the unroll bound (%d); truncated"
         ctx.config.max_unroll;
@@ -503,26 +497,10 @@ and unroll_loop ~depth ctx sym ks ~cond ~body ~update ~check_first =
         warn ctx "loop with a non-static condition skipped";
         ks.next sym
       | Some false -> ks.next sym
-      | Some true ->
-        trans_stmt ~depth ctx sym body
-          {
-            ks with
-            next = (fun sym' -> apply_update sym' (fun s -> iter s (n + 1)));
-            brk = Some ks.next;
-            cont =
-              Some (fun sym' -> apply_update sym' (fun s -> iter s (n + 1)));
-          }
+      | Some true -> pass sym n
   in
-  if check_first then iter sym 0
-  else
-    (* do-while: one unconditional iteration *)
-    trans_stmt ~depth ctx sym body
-      {
-        ks with
-        next = (fun sym' -> apply_update sym' (fun s -> iter s 1));
-        brk = Some ks.next;
-        cont = Some (fun sym' -> apply_update sym' (fun s -> iter s 1));
-      }
+  (* do-while: the first pass is unconditional *)
+  if test_first then iter sym 0 else pass sym 0
 
 and effect_expr ~depth ctx sym (e : A.expr) ks =
   match e with

@@ -564,13 +564,11 @@ let gen_capl_program : Capl.Ast.program QCheck.Gen.t =
                  map3
                    (fun c a b -> S_if (c, a, b))
                    expr (self (n / 2)) (option (self (n / 2)));
-                 map2 (fun c b -> S_while (c, b)) expr (self (n - 1));
-                 map2 (fun b c -> S_do_while (b, c)) (self (n - 1)) expr;
+                 (* every loop shape: cond None/Some x test_first x step *)
                  map2
-                   (fun (i, c) (st, b) -> S_for (i, c, st, b))
-                   (pair
-                      (option (map (fun e -> S_expr e) expr))
-                      (option expr))
+                   (fun (cond, test_first) (step, body) ->
+                     S_loop { cond; body; step; test_first })
+                   (pair (option expr) bool)
                    (pair (option expr) (self (n - 1)));
                  map2
                    (fun e cases -> S_switch (e, cases))

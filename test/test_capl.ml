@@ -104,13 +104,28 @@ let test_parse_expressions () =
 
 let test_parse_statements () =
   (match Parser.stmt "for (i = 0; i < 8; i++) total += i;" with
-   | Ast.S_for (Some _, Some _, Some _, Ast.S_expr _) -> ()
+   | Ast.S_block
+       [ Ast.S_expr _;
+         Ast.S_loop
+           { cond = Some _; body = Ast.S_expr _; step = Some _;
+             test_first = true } ] -> ()
    | _ -> Alcotest.fail "for");
+  (match Parser.stmt "for (;;) break;" with
+   | Ast.S_block
+       [ Ast.S_loop
+           { cond = None; body = Ast.S_break; step = None; test_first = true }
+       ] -> ()
+   | _ -> Alcotest.fail "for (;;)");
+  (match Parser.stmt "while (x) x--;" with
+   | Ast.S_loop { cond = Some _; step = None; test_first = true; _ } -> ()
+   | _ -> Alcotest.fail "while");
   (match Parser.stmt "switch (x) { case 1: a = 1; break; default: a = 2; }" with
    | Ast.S_switch (_, [ { Ast.case_label = Some _; _ }; { Ast.case_label = None; _ } ]) -> ()
    | _ -> Alcotest.fail "switch");
   (match Parser.stmt "do { x--; } while (x > 0);" with
-   | Ast.S_do_while (_, _) -> ()
+   | Ast.S_loop
+       { cond = Some _; body = Ast.S_block _; step = None; test_first = false }
+     -> ()
    | _ -> Alcotest.fail "do-while");
   match Parser.stmt "if (a) b = 1; else { b = 2; c = 3; }" with
   | Ast.S_if (_, _, Some (Ast.S_block [ _; _ ])) -> ()
@@ -177,7 +192,16 @@ let test_sem_errors () =
   expect_error "void f() { this.speed = 1; }" "'this'";
   expect_error "variables { message Bogus m; } on start { }" "unknown message";
   expect_error "on message EngineData { x = this.rpm; }" "no signal";
-  expect_error "on start { 1 = 2; }" "non-lvalue"
+  expect_error "on start { 1 = 2; }" "non-lvalue";
+  (* a switch takes break but not continue: that needs a loop *)
+  expect_error "on key 'a' { switch (1) { case 1: continue; } }" "continue";
+  expect_error "void f() { switch (1) { case 1: continue; } }" "continue";
+  Alcotest.(check (list string)) "continue through a switch in a loop" []
+    (List.map
+       (fun e -> e.Sem.message)
+       (errors_of
+          "on key 'a' { int i; for (i = 0; i < 3; i++) { switch (i) { case \
+           1: continue; default: break; } } }"))
 
 let suite =
   ( "capl",

@@ -220,6 +220,29 @@ let test_runtime_errors () =
     Alcotest.fail "expected depth error"
   with Interp.Runtime_error _ -> ()
 
+(* A function body is its own break/continue boundary: a jump that
+   escapes it is an error, not a jump in the caller's loop (the extractor
+   gives function bodies no break/continue target either). *)
+let test_jump_escaping_function () =
+  let src =
+    {|
+variables { int n = 0; }
+void f() { switch (1) { case 1: continue; } n = 99; }
+void g() { break; }
+on start { int i; for (i = 0; i < 3; i++) { f(); n++; } }
+|}
+  in
+  let t = make src in
+  (try
+     Interp.fire_start t;
+     Alcotest.fail "expected Runtime_error from the escaping continue"
+   with Interp.Runtime_error _ -> ());
+  check_int "caller's loop did not run on" 0 (get_int t "n");
+  try
+    ignore (Interp.call_function (make src) "g" []);
+    Alcotest.fail "expected Runtime_error from the escaping break"
+  with Interp.Runtime_error _ -> ()
+
 let test_deterministic_random () =
   let t = make "variables { int a = 0; int b = 0; } on start { a = random(100); b = random(100); }" in
   Interp.fire_start t;
@@ -243,5 +266,7 @@ let suite =
       Alcotest.test_case "timers" `Quick test_timers;
       Alcotest.test_case "write formatting" `Quick test_write_formatting;
       Alcotest.test_case "runtime errors" `Quick test_runtime_errors;
+      Alcotest.test_case "break/continue cannot escape a function" `Quick
+        test_jump_escaping_function;
       Alcotest.test_case "deterministic random" `Quick test_deterministic_random;
     ] )

@@ -146,7 +146,12 @@ let lint_digest path contents =
      specification side: [Lts], [Normalise] (and the modules that define
      or re-export them), the staged tree's leaves and the conformance
      replay. A check path that reached for them would bring back a
-     second way to compile a term. *)
+     second way to compile a term.
+   - CAPL control flow is given meaning once per consumer: the parser
+     builds it, [Sem] checks it, the interpreter runs it, the extractor
+     unrolls it and [Cfg] turns it into blocks. Every other walker
+     reaches statements through [Capl.Ast.children], so a new
+     hand-written body walker fails here. *)
 let confined =
   let engine = "(implementations compile through Reduce's staged tree)" in
   [
@@ -169,6 +174,15 @@ let confined =
       ],
       engine );
   ]
+  @ List.map
+      (fun name ->
+        ( name,
+          [
+            "capl/ast"; "capl/parser"; "capl/sem"; "capl/interp";
+            "core/extract"; "dataflow/cfg";
+          ],
+          "(walk CAPL bodies through Capl.Ast.children)" ))
+      [ "S_switch"; "S_loop" ]
 
 let lint_confined path contents =
   let modname =
