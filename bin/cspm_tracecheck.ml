@@ -39,7 +39,7 @@ let read_file path =
   | text -> Ok text
   | exception Sys_error msg -> Error msg
 
-let run_check script corpus specs dbc workers max_states format sample_limit
+let run_check script corpus specs dbc () max_states format sample_limit
     trace_out =
   let trace_oc = Option.map open_out trace_out in
   let obs =
@@ -72,7 +72,7 @@ let run_check script corpus specs dbc workers max_states format sample_limit
         ~corpus ()
     in
     let* report =
-      Serve.Trace_run.check_corpus ~workers ~obs ~sample_limit ~map
+      Serve.Trace_run.check_corpus ~obs ~sample_limit ~map
         ~requirements ~path:corpus ()
     in
     (match format with
@@ -199,13 +199,16 @@ let dbc_arg =
           "CAN database mapping frames to spec events. Default: the \
            database embedded in the corpus header.")
 
+(* Parsed and ignored: the corpus is checked in one sequential pass. *)
 let workers_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "workers" ] ~docv:"N"
-        ~doc:
-          "Parsing/mapping domains. Verdicts are identical at any \
-           $(docv); only throughput changes.")
+  Term.(
+    const (fun (_ : int) -> ())
+    $ Arg.(
+        value & opt int 1
+        & info [ "j"; "workers" ] ~docv:"N"
+            ~doc:
+              "Accepted for compatibility; has no effect. A corpus is \
+               checked in one sequential pass."))
 
 let max_states_arg =
   Arg.(
@@ -248,9 +251,9 @@ let check_cmd =
          content-addressed LTS cache when warm), maps every logged \
          frame to a spec event via the extractor's channel alphabet, \
          and advances one O(1) cursor per (stream, requirement) — no \
-         state-space search, constant memory per stream, parallel \
-         across domains. A corrupt corpus line costs only its own \
-         stream.";
+         state-space search, constant memory per stream, one \
+         sequential pass over the corpus. A corrupt corpus line costs \
+         only its own stream.";
       `S Manpage.s_exit_status;
       `P "0 — every stream accepted by every requirement.";
       `P "1 — some stream rejected, corrupt, or malformed.";

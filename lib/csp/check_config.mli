@@ -27,10 +27,9 @@ type t = {
       (** wall-clock budget in seconds from the start of the check;
           [None] = unbounded *)
   workers : int;
-      (** how many domains work at once where the work is independent:
-          assertions checked concurrently by [Cspm.Check.run] when there
-          is no deadline, and trace-check stream fan-out. A single product
-          search always runs on one domain. *)
+      (** how many assertions [Cspm.Check.run] checks at once, each on
+          its own domain, when there is no deadline. A single product
+          search and a trace-check corpus always run on one domain. *)
   obs : Obs.t;
       (** observability handle: spans and metrics from every pipeline
           stage go here ({!Obs.silent} costs one branch per operation) *)

@@ -8,8 +8,7 @@
     is trace membership — walk the specification's normal form one
     visible event at a time. No search, no frontier; a cursor is one
     node index, so millions of concurrent streams fit in memory and
-    every stream is independent (embarrassingly parallel across
-    domains).
+    every stream is independent.
 
     The specification is compiled once per check ({!compile}, fronted by
     the content-addressed {!Cache} exactly like [Refine]); the per-event
@@ -101,16 +100,13 @@ type summary = {
 }
 
 val check_streams :
-  ?workers:int ->
   ?obs:Obs.t ->
   t ->
   (string * Event.label Seq.t) array ->
   stream_result array * summary
-(** Check every stream to completion, [workers] domains wide (default
-    1). Results are positional — element [i] is the verdict of stream
-    [i] — so the output is deterministic at any worker count. Sequences
-    must be persistent or freshly-built (each is forced exactly once,
-    on whichever domain claims it). [obs] receives the
+(** Check every stream to completion, in order. Results are positional —
+    element [i] is the verdict of stream [i]. Each sequence is forced
+    exactly once. [obs] receives the
     [tracecheck.events] / [tracecheck.streams] counters, a
     [tracecheck.events_per_sec] histogram observation, and a
     [tracecheck.check_streams] span. *)

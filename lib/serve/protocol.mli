@@ -28,8 +28,8 @@
                                     // header's embedded database
       // both kinds:
       "deadline_s": 5.0,     // optional per-attempt wall budget (check)
-      "workers": 2,          // optional, default 1 (trace-check
-                             // only: stream domains)
+      "workers": 2,          // optional, default 1; accepted for
+                             // compatibility, ignored by both kinds
       "max_states": 100000,  // optional
       "max_retries": 3,      // optional (check only)
       "reductions": "none",  // optional (check only)
@@ -90,8 +90,9 @@ type job = {
       (** wall budget per attempt; the runner doubles it on every retry
           so a too-tight first guess still converges (check jobs) *)
   workers : int;
-      (** trace-check: stream domains; check jobs run their assertions
-          in order and ignore it *)
+      (** kept for wire compatibility; no job kind reads it (check jobs
+          run their assertions in order, trace-check jobs read their
+          corpus in one sequential pass) *)
   max_states : int option;
   max_retries : int option;  (** [None] = the runner's default *)
   reductions : string option;

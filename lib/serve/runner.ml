@@ -373,9 +373,8 @@ let run_trace_job t (job : Protocol.job) ~corpus ~specs ~dbc =
     | Error reason -> fail reason
     | Ok (map, requirements) -> (
       match
-        Trace_run.check_corpus
-          ~workers:(max 1 job.Protocol.workers)
-          ~obs:cfg.obs ~map ~requirements ~path:corpus ()
+        Trace_run.check_corpus ~obs:cfg.obs ~map ~requirements ~path:corpus
+          ()
       with
       | Error reason -> fail reason
       | Ok report ->

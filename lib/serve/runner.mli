@@ -4,9 +4,9 @@
     {!serve} or programmatically via {!submit}), wait in a bounded queue
     — submissions beyond [queue_limit] are rejected, which is the
     protocol's backpressure — and run one at a time on the calling
-    domain. A trace-check job fans its streams out over [workers]
-    domains; a check job runs its assertions in order, so [workers] does
-    not apply to it.
+    domain. Neither kind reads the job's [workers]: a check job runs its
+    assertions in order and a trace-check job reads its corpus in one
+    sequential pass.
 
     The runner dispatches on {!Protocol.kind}: [Check] jobs run the
     refinement engine with the retry/checkpoint machinery below;

@@ -43,7 +43,21 @@ type line =
       (** corrupt line; [stream] when the ["s"] field was recoverable *)
 
 val parse_line : string -> line
-(** Classify one post-header line. Total — never raises. *)
+(** Classify one post-header line. Total — never raises.
+
+    The entry lines {!write_entry} emits — the keys [s t n d id ext data]
+    in any order, without whitespace, escapes or non-integer numbers —
+    are decoded straight from the bytes into the entry's fields. Every
+    other line (meta lines, whitespace, escapes, [1.0] or [1e2], unknown
+    or repeated keys, and any invalid entry) is parsed as an
+    {!Obs.Json} tree and read with {!Canbus.Trace_log.entry_of_json},
+    which alone decides what is [Meta] or [Malformed] and why; the
+    direct path only ever returns the [Entry] that one would. *)
+
+val parse_line_json : string -> line
+(** The {!Obs.Json} classification {!parse_line} falls back on, applied
+    to every line. It returns what {!parse_line} returns on every input,
+    only slower; the tests keep it as their oracle. *)
 
 (** {1 Writing} *)
 
@@ -61,15 +75,3 @@ val write_entry : writer -> stream:string -> Canbus.Trace_log.entry -> unit
 
 val read_header : path:string -> (header, string) result
 (** Read and parse only the header line. *)
-
-val read :
-  path:string -> f:(line_no:int -> line -> unit) -> (header, string) result
-(** Stream the corpus through [f] (line numbers are 1-based file lines;
-    the first data line is 2). [Error] only for an unreadable file or a
-    missing/foreign header. *)
-
-val fold :
-  path:string ->
-  init:'a ->
-  ('a -> line_no:int -> line -> 'a) ->
-  ('a * header, string) result

@@ -1,12 +1,11 @@
 (* Drive the streaming trace checker over an on-disk corpus.
 
-   The corpus is read once, in batches. Within a batch, JSON parsing and
-   frame-to-event mapping (the dominant cost — the cursor step itself is
-   one hashtable probe) fan out across domains; cursor advancement then
-   replays the batch sequentially in file order. Verdicts are therefore
-   byte-identical at any worker count, and memory stays constant per
-   stream: one cursor per (stream, requirement) plus a handful of
-   counters, never the corpus itself. *)
+   The corpus is read once, one line at a time: each line is decoded
+   ([Trace_io.parse_line]), mapped to its spec event and stepped through
+   its stream's cursors before the next is read. Memory stays constant
+   per stream — one cursor per (stream, requirement) plus a handful of
+   counters, never the corpus itself — and no parsed line outlives its
+   own step. *)
 
 type rejection = {
   stream : string;
@@ -135,13 +134,6 @@ let pp_report ppf r =
           (List.map (fun (k, n) -> Printf.sprintf "%s %d" k n) by)));
   Format.fprintf ppf "verdict: %s@]" (if passed r then "pass" else "fail")
 
-(* One pre-parsed corpus line: everything the sequential cursor stage
-   needs, computed in parallel. *)
-type parsed =
-  | P_entry of { stream : string; label : Csp.Event.label option; fault : bool }
-  | P_meta of { stream : string option; kinds : string list }
-  | P_bad of { stream : string option; reason : string }
-
 (* The fault kinds a generator declared for a stream: the meta object's
    fields with a positive number or [true] — e.g. the {!Ota.Corpus}
    plan's [drop]/[corrupt]/[delay]/[duplicate] probabilities, its
@@ -157,22 +149,6 @@ let kinds_of_meta = function
       fields
     |> List.sort_uniq String.compare
   | _ -> []
-
-let parse_raw map raw =
-  match Trace_io.parse_line raw with
-  | Trace_io.Meta { stream; meta } ->
-    P_meta { stream = Some stream; kinds = kinds_of_meta meta }
-  | Trace_io.Malformed { stream; reason } -> P_bad { stream; reason }
-  | Trace_io.Entry { stream; entry } ->
-    P_entry
-      {
-        stream;
-        label = map entry;
-        fault =
-          (match entry.Canbus.Trace_log.direction with
-           | Canbus.Trace_log.Fault _ -> true
-           | _ -> false);
-      }
 
 (* Per-stream checking state: O(1) per stream — one cursor per
    requirement plus counters. A corrupt line poisons its stream (the
@@ -194,8 +170,8 @@ type totals = {
   mutable malformed : int;
 }
 
-let check_corpus ?(workers = 1) ?(obs = Obs.silent) ?(batch = 8192)
-    ?(sample_limit = 5) ~map ~requirements ~path () =
+let check_corpus ?(obs = Obs.silent) ?(sample_limit = 5) ~map ~requirements
+    ~path () =
   Obs.span obs "tracecheck.corpus" (fun () ->
       let reqs = Array.of_list requirements in
       let nreq = Array.length reqs in
@@ -227,14 +203,13 @@ let check_corpus ?(workers = 1) ?(obs = Obs.silent) ?(batch = 8192)
          meta line alone must not make a stream exist (or count). *)
       let metas : (string, string list) Hashtbl.t = Hashtbl.create 64 in
       let advance line_no = function
-        | P_meta { stream = None; _ } -> ()
-        | P_meta { stream = Some stream; kinds } ->
+        | Trace_io.Meta { stream; meta } ->
           let prior =
             Option.value ~default:[] (Hashtbl.find_opt metas stream)
           in
           Hashtbl.replace metas stream
-            (List.sort_uniq String.compare (kinds @ prior))
-        | P_bad { stream; reason } ->
+            (List.sort_uniq String.compare (kinds_of_meta meta @ prior))
+        | Trace_io.Malformed { stream; reason } ->
           totals.malformed <- totals.malformed + 1;
           (match stream with
            | None -> ()
@@ -242,67 +217,34 @@ let check_corpus ?(workers = 1) ?(obs = Obs.silent) ?(batch = 8192)
              let st = state_of stream in
              if st.corrupt_at = None then
                st.corrupt_at <- Some (line_no, reason))
-        | P_entry { stream; label; fault } ->
+        | Trace_io.Entry { stream; entry } ->
           let st = state_of stream in
           totals.entries <- totals.entries + 1;
           st.s_entries <- st.s_entries + 1;
-          if fault then totals.faults <- totals.faults + 1;
-          if st.corrupt_at = None then (
-            match label with
-            | None -> totals.skipped <- totals.skipped + 1
-            | Some label ->
-              totals.events <- totals.events + 1;
-              for r = 0 to nreq - 1 do
-                let before = st.cursors.(r) in
-                if Csp.Tracecheck.verdict before = Csp.Tracecheck.Accepted
-                then begin
-                  let after = Csp.Tracecheck.step checkers.(r) before label in
-                  st.cursors.(r) <- after;
-                  if Csp.Tracecheck.verdict after <> Csp.Tracecheck.Accepted
-                  then st.reject_line.(r) <- line_no
-                end
-              done)
-          else totals.skipped <- totals.skipped + 1
+          (match entry.Canbus.Trace_log.direction with
+           | Canbus.Trace_log.Fault _ -> totals.faults <- totals.faults + 1
+           | Canbus.Trace_log.Tx | Canbus.Trace_log.Rx _ -> ());
+          match if st.corrupt_at = None then map entry else None with
+          | None -> totals.skipped <- totals.skipped + 1
+          | Some label ->
+            totals.events <- totals.events + 1;
+            for r = 0 to nreq - 1 do
+              let before = st.cursors.(r) in
+              if Csp.Tracecheck.verdict before = Csp.Tracecheck.Accepted
+              then begin
+                let after = Csp.Tracecheck.step checkers.(r) before label in
+                st.cursors.(r) <- after;
+                if Csp.Tracecheck.verdict after <> Csp.Tracecheck.Accepted
+                then st.reject_line.(r) <- line_no
+              end
+            done
       in
-      (* Parse a slice of the batch on each domain; replay in order. *)
-      let parse_batch lines n =
-        let out = Array.make n (P_meta { stream = None; kinds = [] }) in
-        let chunks = max 1 (min workers n) in
-        let per = (n + chunks - 1) / chunks in
-        let fill c =
-          let lo = c * per and hi = min n ((c + 1) * per) in
-          for i = lo to hi - 1 do
-            out.(i) <- parse_raw map lines.(i)
-          done
-        in
-        if chunks = 1 then fill 0
-        else begin
-          let domains =
-            List.init (chunks - 1) (fun c ->
-                Domain.spawn (fun () -> fill (c + 1)))
-          in
-          fill 0;
-          List.iter Domain.join domains
-        end;
-        out
-      in
-      let run ic =
-        let lines = Array.make batch "" in
-        let rec loop line_no =
-          let n = ref 0 in
-          (try
-             while !n < batch do
-               lines.(!n) <- input_line ic;
-               incr n
-             done
-           with End_of_file -> ());
-          if !n > 0 then begin
-            let parsed = parse_batch lines !n in
-            Array.iteri (fun i p -> advance (line_no + i) p) parsed;
-            if !n = batch then loop (line_no + !n)
-          end
-        in
-        loop 2
+      let rec run ic line_no =
+        match input_line ic with
+        | exception End_of_file -> ()
+        | raw ->
+          advance line_no (Trace_io.parse_line raw);
+          run ic (line_no + 1)
       in
       match open_in_bin path with
       | exception Sys_error msg -> Error msg
@@ -316,7 +258,7 @@ let check_corpus ?(workers = 1) ?(obs = Obs.silent) ?(batch = 8192)
               match Trace_io.header_of_line first with
               | Error _ as e -> e
               | Ok header ->
-                run ic;
+                run ic 2;
                 let wall_s = Obs.now () -. t0 in
                 let streams = List.rev !order in
                 let accepted = Array.make nreq 0

@@ -2,11 +2,10 @@
     per-(stream × requirement) {!Csp.Tracecheck} cursors and report
     per-requirement verdict counts as a ["trace-check/1"] document.
 
-    The corpus is read once in batches: JSON parsing and
-    frame-to-event mapping fan out across [workers] domains, cursor
-    advancement replays each batch sequentially in file order — so
-    verdicts are identical at any worker count, and memory is O(streams
-    × requirements), never O(corpus).
+    The corpus is read once, in one sequential pass: each line is
+    decoded, mapped to its spec event and stepped through its stream's
+    cursors before the next line is read, so memory is O(streams ×
+    requirements), never O(corpus).
 
     Corrupt lines follow the {!Trace_io} policy: a malformed line whose
     stream is recoverable poisons that stream (frozen cursors, reported
@@ -68,9 +67,7 @@ val json_of_report : ?timing:bool -> report -> Obs.Json.t
 val pp_report : Format.formatter -> report -> unit
 
 val check_corpus :
-  ?workers:int ->
   ?obs:Obs.t ->
-  ?batch:int ->
   ?sample_limit:int ->
   map:(Canbus.Trace_log.entry -> Csp.Event.label option) ->
   requirements:(string * Csp.Tracecheck.t) list ->

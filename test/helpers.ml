@@ -126,3 +126,29 @@ let raw_check ?(interner = `Id) ?(max_states = 1_000_000) ?max_pairs defs
       (Search.proc_source ~interner
          ~make_step:(fun () -> Semantics.make_cached defs)
          impl)
+
+(* ------------------------------------------------------------------ *)
+(* Byte-level edits of valid inputs, for the decoders' never-raise and  *)
+(* agreement properties                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* One to three edits of [input] — a byte replaced, the tail cut off, a
+   byte inserted or appended — each new byte drawn from [interesting]
+   (the decoder's own punctuation) three times in four, else any byte. *)
+let gen_byte_edits ~interesting input =
+  let open QCheck.Gen in
+  let gen_byte = frequency [ (3, oneofl interesting); (1, char) ] in
+  let edit s =
+    let n = String.length s in
+    let* pos = int_bound (max 0 (n - 1)) and* b = gen_byte in
+    oneofl
+      [
+        (if n = 0 then s
+         else String.mapi (fun i c -> if i = pos then b else c) s);
+        String.sub s 0 pos;
+        String.sub s 0 pos ^ String.make 1 b ^ String.sub s pos (n - pos);
+        s ^ String.make 1 b;
+      ]
+  in
+  let rec go k s = if k = 0 then return s else edit s >>= go (k - 1) in
+  int_range 1 3 >>= fun k -> go k input

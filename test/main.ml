@@ -41,4 +41,5 @@ let () =
       Test_reduce.suite;
       Test_cache.suite;
       Test_tracecheck.suite;
+      Test_decoders.suite;
     ]

@@ -1,9 +1,10 @@
 (* The streaming trace-containment engine and the corpus pipeline built
    on it: cursor semantics (skip / tick / latch), an exhaustive qcheck
    agreement property against the denotational trace semantics, the
-   can-trace/1 codec round-trip, fixed-seed corpus determinism,
-   malformed-line containment, and verdict identity across 1/2/4 worker
-   domains for both the raw engine and the corpus driver. *)
+   can-trace/1 codec round-trip, fixed-seed corpus determinism, the
+   direct line decoder against its Obs.Json oracle, malformed-line
+   containment, and corpus reports that do not depend on which decoder
+   read the lines. *)
 
 open Csp
 open Helpers
@@ -133,10 +134,10 @@ let agreement_test =
           candidate_traces)
 
 (* ------------------------------------------------------------------ *)
-(* check_streams worker identity                                       *)
+(* check_streams: positional results and summary counts               *)
 (* ------------------------------------------------------------------ *)
 
-let test_workers_identical () =
+let test_check_streams_counts () =
   let defs = make_defs () in
   let spec = send "a" 0 (send "b" 1 Proc.skip) in
   let t = compile_exn defs spec in
@@ -150,27 +151,19 @@ let test_workers_identical () =
         in
         (Printf.sprintf "s%02d" i, List.to_seq body))
   in
-  let render (results, (summary : Tracecheck.summary)) =
-    Printf.sprintf "streams=%d accepted=%d rejected=%d events=%d skipped=%d"
-      summary.streams summary.accepted summary.rejected summary.events
-      summary.skipped_events
-    :: (Array.to_list results
-       |> List.map (fun (r : Tracecheck.stream_result) ->
-              Printf.sprintf "%s %d %d %s" r.stream r.events r.skipped_events
-                (show_verdict r.verdict)))
-  in
-  let run w = Tracecheck.check_streams ~workers:w t streams in
-  let _, summary1 = run 1 in
-  Alcotest.(check int) "streams" 60 summary1.Tracecheck.streams;
-  Alcotest.(check int) "accepted" 20 summary1.Tracecheck.accepted;
-  Alcotest.(check int) "rejected" 40 summary1.Tracecheck.rejected;
-  let base = render (run 1) in
-  List.iter
-    (fun w ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "workers=%d identical" w)
-        base (render (run w)))
-    [ 2; 4 ]
+  let results, summary = Tracecheck.check_streams t streams in
+  Alcotest.(check int) "streams" 60 summary.Tracecheck.streams;
+  Alcotest.(check int) "accepted" 20 summary.Tracecheck.accepted;
+  Alcotest.(check int) "rejected" 40 summary.Tracecheck.rejected;
+  Alcotest.(check int) "events" 120 summary.Tracecheck.events;
+  Array.iteri
+    (fun i (r : Tracecheck.stream_result) ->
+      Alcotest.(check string) "positional" (Printf.sprintf "s%02d" i) r.stream;
+      Alcotest.(check bool)
+        (r.stream ^ " verdict")
+        (i mod 3 = 0)
+        (r.verdict = Tracecheck.Accepted))
+    results
 
 (* ------------------------------------------------------------------ *)
 (* can-trace/1 codec round-trip                                        *)
@@ -284,6 +277,293 @@ let test_parse_line () =
   | Serve.Trace_io.Entry { stream = "s1"; entry } ->
     Alcotest.(check int) "id" 257 entry.Canbus.Trace_log.frame.Canbus.Frame.id
   | _ -> Alcotest.fail "entry line not recognised"
+
+(* ------------------------------------------------------------------ *)
+(* The direct decoder agrees with its Obs.Json oracle                  *)
+(* ------------------------------------------------------------------ *)
+
+let show_line = function
+  | Serve.Trace_io.Entry { stream; entry } ->
+    Printf.sprintf "Entry %S %s" stream
+      (Obs.Json.to_string (Canbus.Trace_log.entry_to_json entry))
+  | Serve.Trace_io.Meta { stream; meta } ->
+    Printf.sprintf "Meta %S %s" stream (Obs.Json.to_string meta)
+  | Serve.Trace_io.Malformed { stream; reason } ->
+    Printf.sprintf "Malformed %s %S"
+      (Option.fold ~none:"-" ~some:(Printf.sprintf "%S") stream)
+      reason
+
+(* [parse_line] must return exactly what the oracle returns — the same
+   constructor, stream, entry, meta and reason. *)
+let disagreement raw =
+  let fast = Serve.Trace_io.parse_line raw in
+  let oracle = Serve.Trace_io.parse_line_json raw in
+  if fast = oracle then None
+  else
+    Some
+      (Printf.sprintf "line %S\nparse_line: %s\noracle:     %s" raw
+         (show_line fast) (show_line oracle))
+
+(* The writer's line for an entry, as {!Serve.Trace_io.write_entry}
+   emits it. *)
+let writer_fields stream entry =
+  match Canbus.Trace_log.entry_to_json entry with
+  | Obs.Json.Obj fields -> ("s", Obs.Json.Str stream) :: fields
+  | _ -> invalid_arg "entry_to_json: not an object"
+
+let gen_stream = QCheck.Gen.oneofl [ "s00000"; "s1"; ""; "a/b"; "\xc3\xa9" ]
+
+let gen_wide_entry : Canbus.Trace_log.entry QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* entry = gen_entry in
+  let* node = oneofl [ entry.Canbus.Trace_log.node; "" ] in
+  let* direction =
+    oneofl
+      [ entry.Canbus.Trace_log.direction; Canbus.Trace_log.Rx "";
+        Canbus.Trace_log.Fault "" ]
+  in
+  return { entry with node; direction }
+
+(* How one line is spelled. Each liberty is taken on about a third of
+   the lines, independently, so many lines carry exactly one of them. *)
+type spelling = {
+  spaces : bool;
+  escapes : bool;  (** in values *)
+  escaped_keys : bool;
+  numbers : bool;
+}
+
+let gen_spelling =
+  let open QCheck.Gen in
+  let sometimes = frequencyl [ (2, false); (1, true) ] in
+  let* spaces = sometimes and* escapes = sometimes and* numbers = sometimes in
+  let* escaped_keys = frequencyl [ (5, false); (1, true) ] in
+  return { spaces; escapes; escaped_keys; numbers }
+
+let gen_ws sp =
+  if sp.spaces then
+    QCheck.Gen.frequencyl
+      [ (4, ""); (1, " "); (1, "\t"); (1, "\r"); (1, " \r ") ]
+  else QCheck.Gen.return ""
+
+(* Valid JSON for [v] in the line's spelling: whitespace around tokens,
+   escapes in strings, integers written as [1.0], [1e0], [100] as [1e2]
+   or with a leading zero; integers too large for a float print in
+   full. *)
+let rec gen_render sp v =
+  let open QCheck.Gen in
+  let* before = gen_ws sp in
+  let* body =
+    match v with
+    | Obs.Json.Num f when Float.is_integer f && Float.abs f < 1e15 ->
+      let n = string_of_int (int_of_float f) in
+      if sp.numbers then
+        frequencyl
+          ([ (2, n); (1, n ^ ".0"); (1, n ^ "e0") ]
+          @ (if f > 0. && Float.rem f 100. = 0. then
+               [ (1, string_of_int (int_of_float f / 100) ^ "e2") ]
+             else [])
+          @ if f >= 0. then [ (1, "0" ^ n) ] else [])
+      else return n
+    | Obs.Json.Num f when Float.is_integer f ->
+      frequencyl [ (1, Printf.sprintf "%.0f" f); (1, Obs.Json.to_string v) ]
+    | Obs.Json.Str s -> gen_string sp s
+    | Obs.Json.List items ->
+      let* items = flatten_l (List.map (gen_render sp) items) in
+      return ("[" ^ String.concat "," items ^ "]")
+    | Obs.Json.Obj fields -> gen_object sp fields
+    | v -> return (Obs.Json.to_string v)
+  in
+  let* after = gen_ws sp in
+  return (before ^ body ^ after)
+
+and gen_string sp s =
+  let open QCheck.Gen in
+  let char c =
+    let quoted = Obs.Json.to_string (Obs.Json.Str (String.make 1 c)) in
+    let plain = String.sub quoted 1 (String.length quoted - 2) in
+    if sp.escapes then
+      frequencyl
+        ([ (3, plain); (1, Printf.sprintf "\\u%04x" (Char.code c)) ]
+        @ if c = '/' then [ (1, "\\/") ] else [])
+    else return plain
+  in
+  let* chars = flatten_l (List.init (String.length s) (fun i -> char s.[i])) in
+  return ("\"" ^ String.concat "" chars ^ "\"")
+
+and gen_object sp fields =
+  let open QCheck.Gen in
+  let* fields =
+    flatten_l
+      (List.map
+         (fun (k, v) ->
+           let* key = gen_string { sp with escapes = sp.escaped_keys } k in
+           let* ws = gen_ws sp in
+           let* value = gen_render sp v in
+           return (ws ^ key ^ ws ^ ":" ^ value))
+         fields)
+  in
+  return ("{" ^ String.concat "," fields ^ "}")
+
+(* Values a field may wrongly carry: fractions, out-of-range numbers,
+   wrong types, oversized payloads. *)
+let gen_bad_value =
+  let open Obs.Json in
+  QCheck.Gen.oneofl
+    [ Num (-1.); Num 1.5; Num 256.; Num 4096.; Num 1e16; Num 1e20; Num (-0.);
+      Str "x";
+      Str "tx"; Bool true; Bool false; Null; List [ Num 1.; Num 300. ];
+      List (List.init 9 (fun _ -> Num 0.)); Obj [] ]
+
+(* The writer's fields, reordered and sometimes with a key repeated,
+   added (an explicit "ext":false or an unknown key), dropped, or given
+   a wrong value. *)
+let gen_variant_fields =
+  let open QCheck.Gen in
+  let* stream = gen_stream and* entry = gen_wide_entry in
+  let fields = writer_fields stream entry in
+  let* fields = shuffle_l fields in
+  let* extra =
+    frequency
+      [ (4, return []);
+        (1, return [ ("ext", Obs.Json.Bool false) ]);
+        (1, map (fun f -> [ f ]) (oneofl fields));
+        (1, return [ ("x", Obs.Json.Num 1.) ]);
+        (1, map (fun v -> [ ("t", v) ]) gen_bad_value) ]
+  in
+  let* fields = shuffle_l (fields @ extra) in
+  frequency
+    [ (6, return fields);
+      (1, map (fun i -> List.filteri (fun j _ -> j <> i) fields)
+            (int_bound (List.length fields - 1)));
+      (2,
+       let* i = int_bound (List.length fields - 1) and* v = gen_bad_value in
+       return
+         (List.mapi (fun j (k, old) -> (k, if i = j then v else old)) fields))
+    ]
+
+(* A writer line with one field's value replaced by a boundary or
+   near-miss spelling, written as raw JSON text, or with one key
+   renamed to a near miss. *)
+let edge_values =
+  [
+    ("s", [ {|""|}; "1"; "null" ]);
+    ("t", [ "-1"; "-0"; "0"; "1e2"; "1.5"; {|"5"|}; "999999999999999";
+            "1000000000000000"; "10000000000000000000";
+            "100000000000000000000" ]);
+    ("n", [ {|""|}; "5" ]);
+    ("d", [ {|"rx:"|}; {|"fault:"|}; {|"rx"|}; {|"rx.ECU"|}; {|"fault.x"|};
+            {|"tx "|}; {|"TX"|}; {|"t"|} ]);
+    ("id", [ "-1"; "2047"; "2048"; "536870911"; "536870912" ]);
+    ("ext", [ "true"; "false"; "flase"; "fals"; "tru"; "null"; "1" ]);
+    ("data", [ "[]"; "[255]"; "[256]"; "[-1]"; "[0,0,0,0,0,0,0,0]";
+               "[0,0,0,0,0,0,0,0,0]"; "[1,]"; "[,1]"; "[1.0]"; "[01]" ]);
+  ]
+
+let gen_edge_line =
+  let open QCheck.Gen in
+  let* stream = gen_stream and* entry = gen_wide_entry in
+  let fields =
+    List.map
+      (fun (k, v) -> (k, Obs.Json.to_string v))
+      (writer_fields stream entry)
+  in
+  let* key, values = oneofl edge_values in
+  let* text = oneofl values in
+  let* rename = frequencyl [ (3, None); (1, Some ()) ] in
+  let* near =
+    oneofl
+      [ ("s", "S"); ("t", "tt"); ("n", ""); ("d", "dd"); ("id", "ix");
+        ("id", "i"); ("ext", "ex"); ("ext", "exit"); ("data", "dat");
+        ("data", "datum") ]
+  in
+  let fields =
+    match rename with
+    | Some () ->
+      List.map (fun (k, v) -> ((if k = fst near then snd near else k), v)) fields
+    | None when List.mem_assoc key fields ->
+      List.map (fun (k, v) -> (k, if k = key then text else v)) fields
+    | None -> fields @ [ (key, text) ]
+  in
+  let* fields = shuffle_l fields in
+  return
+    ("{"
+    ^ String.concat ","
+        (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) fields)
+    ^ "}")
+
+let gen_meta_line =
+  let open QCheck.Gen in
+  let* stream = gen_stream and* drop = float_bound_inclusive 1. in
+  return
+    (Obs.Json.to_string
+       (Obs.Json.Obj
+          [ ("s", Obs.Json.Str stream);
+            ("meta", Obs.Json.Obj [ ("drop", Obs.Json.Num drop) ]) ]))
+
+let gen_mutated =
+  Helpers.gen_byte_edits
+    ~interesting:
+      [ '"'; '\\'; ','; ':'; '{'; '}'; '['; ']'; '-'; '.'; 'e'; '0'; '9'; ' ';
+        '\r'; 't'; 'f' ]
+
+let gen_trace_line =
+  let open QCheck.Gen in
+  let writer =
+    map2
+      (fun stream entry ->
+        Obs.Json.to_string (Obs.Json.Obj (writer_fields stream entry)))
+      gen_stream gen_wide_entry
+  in
+  let spelled =
+    let* fields = gen_variant_fields and* sp = gen_spelling in
+    gen_object sp fields
+  in
+  let whitespace =
+    let* line = writer and* tail = oneofl [ "\r"; " "; "\t\r" ] in
+    return (line ^ tail)
+  in
+  frequency
+    [
+      (4, writer);
+      (2, map (fun f -> Obs.Json.to_string (Obs.Json.Obj f)) gen_variant_fields);
+      (3, spelled);
+      (1, whitespace);
+      (1, gen_meta_line);
+      (3, gen_edge_line);
+      (4, oneof [ writer; spelled; gen_edge_line; gen_meta_line ] >>= gen_mutated);
+    ]
+
+let decoder_agrees_test =
+  QCheck.Test.make ~count:5000
+    ~name:"parse_line agrees with the Obs.Json oracle"
+    (QCheck.make ~print:String.escaped gen_trace_line)
+    (fun raw ->
+      match disagreement raw with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+(* Every line of a generated corpus, header aside. *)
+let test_decoder_on_corpus () =
+  with_tmp @@ fun path ->
+  ignore
+    (Ota.Corpus.generate ~seed:3 ~streams:20 ~until_ms:200 ~flawed_rate:0.5
+       ~path ());
+  let lines = String.split_on_char '\n' (read_file path) in
+  let entries = ref 0 and metas = ref 0 in
+  List.iteri
+    (fun i raw ->
+      if i > 0 && raw <> "" then begin
+        Option.iter (Alcotest.failf "line %d: %s" (i + 1)) (disagreement raw);
+        match Serve.Trace_io.parse_line raw with
+        | Serve.Trace_io.Entry _ -> incr entries
+        | Serve.Trace_io.Meta _ -> incr metas
+        | Serve.Trace_io.Malformed { reason; _ } ->
+          Alcotest.failf "line %d malformed: %s" (i + 1) reason
+      end)
+    lines;
+  Alcotest.(check int) "one meta line per stream" 20 !metas;
+  Alcotest.(check bool) "entries decoded" true (!entries > 0)
 
 (* A hand-built two-stream corpus with one recoverable and one
    unrecoverable corrupt line: the bad stream is poisoned, the good one
@@ -402,7 +682,7 @@ let test_rejection_attribution () =
      | _ -> Alcotest.fail "report JSON lacks rejected_by_fault object")
 
 (* ------------------------------------------------------------------ *)
-(* Corpus driver: verdicts identical at any worker count               *)
+(* Corpus driver: one report whichever decoder reads the lines         *)
 (* ------------------------------------------------------------------ *)
 
 let ota_specs =
@@ -425,7 +705,22 @@ let ota_specs =
    \  [] ([] v : {0..7} @ bit(m, v) == 1 & rptUpd!v -> AUTH(m))\n\
    SPEC_AUTH = AUTH(0)\n"
 
-let test_corpus_workers_identical () =
+(* The same corpus twice: as the writer spelled it, which the direct
+   decoder reads, and respelled with the keys reversed and a space after
+   every colon and comma, which only the Obs.Json path reads. The
+   reports must match byte for byte. *)
+let respell raw =
+  match Obs.Json.parse raw with
+  | Ok (Obs.Json.Obj fields) ->
+    "{"
+    ^ String.concat ", "
+        (List.rev_map
+           (fun (k, v) -> Printf.sprintf "%S: %s" k (Obs.Json.to_string v))
+           fields)
+    ^ "}"
+  | Ok _ | Error _ -> raw
+
+let test_corpus_decoders_identical () =
   with_tmp @@ fun path ->
   let summary =
     Ota.Corpus.generate ~seed:11 ~streams:10 ~until_ms:150 ~flawed_rate:0.5
@@ -441,20 +736,24 @@ let test_corpus_workers_identical () =
     | Error msg -> Alcotest.failf "prepare: %s" msg
   in
   Alcotest.(check int) "two requirements" 2 (List.length requirements);
-  let doc w =
-    match Serve.Trace_run.check_corpus ~workers:w ~map ~requirements ~path ()
-    with
+  let doc () =
+    match Serve.Trace_run.check_corpus ~map ~requirements ~path () with
     | Ok report ->
       Obs.Json.to_string (Serve.Trace_run.json_of_report ~timing:false report)
-    | Error msg -> Alcotest.failf "check_corpus workers=%d: %s" w msg
+    | Error msg -> Alcotest.failf "check_corpus: %s" msg
   in
-  let base = doc 1 in
-  List.iter
-    (fun w ->
-      Alcotest.(check string)
-        (Printf.sprintf "workers=%d byte-identical report" w)
-        base (doc w))
-    [ 2; 4 ]
+  let direct = doc () in
+  (match String.split_on_char '\n' (read_file path) with
+   | header :: lines ->
+     let oc = open_out_bin path in
+     output_string oc header;
+     List.iter
+       (fun raw -> if raw <> "" then output_string oc ("\n" ^ respell raw))
+       lines;
+     output_char oc '\n';
+     close_out oc
+   | [] -> Alcotest.fail "empty corpus");
+  Alcotest.(check string) "byte-identical report" direct (doc ())
 
 let suite =
   ( "tracecheck",
@@ -466,8 +765,8 @@ let suite =
     Alcotest.test_case "out-of-alphabet events skipped" `Quick
       test_out_of_alphabet_skipped;
     QCheck_alcotest.to_alcotest agreement_test;
-    Alcotest.test_case "check_streams identical across workers" `Quick
-      test_workers_identical;
+    Alcotest.test_case "check_streams keeps order and counts" `Quick
+      test_check_streams_counts;
     QCheck_alcotest.to_alcotest codec_roundtrip_test;
     Alcotest.test_case "codec rejects invalid entries" `Quick
       test_entry_of_json_rejects;
@@ -475,10 +774,13 @@ let suite =
       test_corpus_deterministic;
     Alcotest.test_case "parse_line classifies corrupt lines" `Quick
       test_parse_line;
+    QCheck_alcotest.to_alcotest decoder_agrees_test;
+    Alcotest.test_case "parse_line agrees with the oracle on a corpus"
+      `Quick test_decoder_on_corpus;
     Alcotest.test_case "corrupt line poisons only its stream" `Quick
       test_corrupt_stream_contained;
     Alcotest.test_case "rejections attributed to declared faults" `Quick
       test_rejection_attribution;
-    Alcotest.test_case "corpus verdicts identical across workers" `Quick
-      test_corpus_workers_identical;
+    Alcotest.test_case "corpus verdicts identical across decoders" `Quick
+      test_corpus_decoders_identical;
   ] )

@@ -133,9 +133,9 @@ let lint_digest path contents =
    other discipline lints: even a comment mention trips it.
 
    - Domains: parallelism lives only where the work is independent —
-     whole assertions, trace streams and the daemon's stdin reader. The
-     product search is one sequential loop and must not silently grow a
-     domain pool again.
+     whole assertions and the daemon's stdin reader. The product search
+     and the trace checker are sequential loops and must not silently
+     grow a domain pool again.
    - The normal form is built on demand, node by node, as the product
      search asks for it. Only the trace checker needs it whole (it
      freezes every node into tables); a check path that forced it would
@@ -156,8 +156,8 @@ let confined =
   let engine = "(implementations compile through Reduce's staged tree)" in
   [
     ( "Domain.spawn",
-      [ "cspm/check"; "csp/tracecheck"; "serve/trace_run"; "serve/runner" ],
-      "(keep the product search sequential)" );
+      [ "cspm/check"; "serve/runner" ],
+      "(keep the product search and the trace checker sequential)" );
     ( "Normalise.force",
       [ "csp/tracecheck" ],
       "(check paths build the specification's normal form on demand)" );
