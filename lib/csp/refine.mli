@@ -3,7 +3,8 @@
     [check ~spec ~impl] decides [spec ⊑ impl] in the traces or
     stable-failures model by exploring the product of the implementation's
     states with the nodes of the specification's normal form,
-    breadth-first, so a reported counterexample has minimal length. Both
+    breadth-first in the visible trace, so a reported counterexample has
+    minimal length. Both
     sides are generated on the fly: the normal form is built on demand
     ({!Normalise}), one node per label the search follows, so a
     specification whose full normal form is huge or infinite can still be

@@ -259,19 +259,44 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
   let g_budget = Obs.gauge obs "search.budget_frac" in
   let g_impl_states = Obs.gauge obs "search.impl_states" in
   (* Product pairs (impl state, normal-form node), interned to dense ids;
-     per-id state and parent edge live in growable arrays. *)
+     per-id state and parent edge live in growable arrays.
+
+     The search runs level by level in the length of the visible trace,
+     so the first counterexample it reports is a shortest one: [queue]
+     holds the pairs of the current level [depth], [next] those one
+     visible event further. A tau move stays in its level. A pair first
+     reached by a visible event can later be reached by taus from the
+     current level; it is then moved into the current level with its new
+     parent, and its entry in [next] goes stale. [pair_level] holds each
+     unexplored pair's level, and -1 once the pair is explored. *)
   let pair_ids = Pair_tbl.create 4096 in
   let pair_impl = ref (Array.make 4096 0) in
   let pair_node = ref (Array.make 4096 0) in
+  let pair_level = ref (Array.make 4096 0) in
   let parents = ref (Array.make 4096 None) in
   let pair_count = ref 0 in
+  let depth = ref 0 in
   let queue = Queue.create () in
+  let next = Queue.create () in
+  let frontier_size () = Queue.length queue + Queue.length next in
   let peak_frontier = ref 0 in
   (* Rolling digest over every interned pair, in interning order — a
      portable fingerprint of search progress. *)
   let digest = ref 0 in
   let intern_pair parent ((impl_i, node) as pair) =
-    if not (Pair_tbl.mem pair_ids pair) then begin
+    let visible =
+      match parent with
+      | Some (Event.Tau, _) | None -> false
+      | Some ((Event.Vis _ | Event.Tick), _) -> true
+    in
+    match Pair_tbl.find_opt pair_ids pair with
+    | Some id ->
+      if (not visible) && !pair_level.(id) > !depth then begin
+        !pair_level.(id) <- !depth;
+        !parents.(id) <- parent;
+        Queue.add id queue
+      end
+    | None ->
       if !pair_count >= max_pairs then raise (Out_of_budget Pairs);
       let id = !pair_count in
       incr pair_count;
@@ -284,17 +309,24 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
         in
         grow 0 pair_impl;
         grow 0 pair_node;
+        grow 0 pair_level;
         grow None parents
       end;
       Pair_tbl.replace pair_ids pair id;
       !pair_impl.(id) <- impl_i;
       !pair_node.(id) <- node;
       !parents.(id) <- parent;
-      Queue.add id queue;
+      if visible then begin
+        !pair_level.(id) <- !depth + 1;
+        Queue.add id next
+      end
+      else begin
+        !pair_level.(id) <- !depth;
+        Queue.add id queue
+      end;
       Obs.incr c_interned;
-      let frontier = Queue.length queue in
+      let frontier = frontier_size () in
       if frontier > !peak_frontier then peak_frontier := frontier
-    end
   in
   (* O(depth): walk the parent chain once, consing. *)
   let trace_to id =
@@ -312,7 +344,7 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
       impl_state = source.term_of impl_i;
     }
   in
-  (* Pairs are dequeued in BFS order, so the most recently dequeued pair
+  (* Pairs are dequeued level by level, so the most recently dequeued pair
      lies on a deepest explored path — the natural resume hint. *)
   let explored = ref 0 in
   let last_dequeued = ref 0 in
@@ -406,7 +438,7 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
       ticking && !ff = None && !explored > 0
       && !explored land deadline_poll_mask = 0
     then begin
-      let frontier = Queue.length queue in
+      let frontier = frontier_size () in
       let budget_frac = float_of_int !pair_count /. float_of_int max_pairs in
       Obs.set g_frontier (float_of_int frontier);
       Obs.set g_budget budget_frac;
@@ -462,9 +494,8 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
     end
     else None
   in
-  (* Ample-set selection. The proviso consults pair ids, which follow
-     FIFO interning order = dequeue order. A group G of state [s]'s
-     transitions qualifies as ample when:
+  (* Ample-set selection. A group G of state [s]'s transitions qualifies
+     as ample when:
      - every transition of [s] is a plain step the specification allows
        (no trace violation, no tick): otherwise the violation must be
        found / the spec must move;
@@ -474,9 +505,8 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
        self-looping at every normal-form node), hence firing G keeps the
        spec node and cannot mask or create a violation;
      - cycle proviso: some successor of G is not yet closed (not interned,
-       or interned with a pair id greater than the committing pair's, i.e.
-       still queued) — deferring the other groups along a cycle of
-       already-closed states would postpone them forever.
+       or interned and still queued) — deferring the other groups along a
+       cycle of already-closed states would postpone them forever.
      Only [Normalise.allows] is consulted, so choosing a group interns no
      specification node the committed pairs do not reach. *)
   let c_ample = Obs.counter obs "search.por_ample_commits" in
@@ -504,18 +534,27 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
                  (fun (_, j) ->
                    match Pair_tbl.find_opt pair_ids (j, node) with
                    | None -> true
-                   | Some id -> id > pair_id)
+                   | Some id -> !pair_level.(id) >= 0)
                  g
           in
           List.find_opt qualifies groups
   in
+  (* A trace violation is one event longer than the level it is found
+     in, so a refusal or a divergence later in the same level is shorter.
+     The first trace violation waits in [pending] until the level is
+     done; a search that reports neither refusals nor divergence cannot
+     find a shorter one and reports it at once. *)
+  let pending = ref None in
+  let trace_only = refusal = `None && source.divergent = None in
   (* Expand and commit one dequeued pair: step its implementation state
      (interning new successors as they are reached), then either report a
      violation or intern the successor pairs in transition order, moving
-     the specification one label at a time. [Some result] short-circuits
-     the search. *)
+     the specification one label at a time. Once a trace violation is
+     pending, pairs of the next level are no longer interned. [Some
+     result] short-circuits the search. *)
   let explore pair_id =
     last_dequeued := pair_id;
+    !pair_level.(pair_id) <- -1;
     incr explored;
     Obs.incr c_explored;
     let impl_i = !pair_impl.(pair_id) and node = !pair_node.(pair_id) in
@@ -551,38 +590,50 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
               group;
             None
           | None ->
-            List.find_map
+            List.iter
               (fun (l, j) ->
                 match l with
-                | Event.Tau ->
-                  intern_pair (Some (l, pair_id)) (j, node);
-                  None
-                | Event.Tick | Event.Vis _ ->
+                | Event.Tau -> intern_pair (Some (l, pair_id)) (j, node)
+                | Event.Tick | Event.Vis _ when !pending = None ->
                   (match Normalise.after norm node l with
-                   | Some node' ->
-                     intern_pair (Some (l, pair_id)) (j, node');
-                     None
+                   | Some node' -> intern_pair (Some (l, pair_id)) (j, node')
                    | None ->
-                     Some
-                       (Fails
-                          (counterexample pair_id [ l ] (Trace_violation l)
-                             impl_i))))
-              ts))
+                     pending :=
+                       Some
+                         (Fails
+                            (counterexample pair_id [ l ] (Trace_violation l)
+                               impl_i)))
+                | Event.Tick | Event.Vis _ -> ())
+              ts;
+            if trace_only then !pending else None))
   in
   let rec search () =
-    (* an empty queue is a completed search: the verdict stands even if
-       the deadline expired while reaching it *)
-    if Queue.is_empty queue then Holds (current_stats ())
-    else begin
-      cross_if_resuming ();
-      tick ();
-      check_budgets ();
-      match explore (Queue.take queue) with
+    if Queue.is_empty queue then
+      match !pending with
       | Some result -> result
       | None ->
-        note_boundary ();
-        search ()
-    end
+        (* no pair left is a completed search: the verdict stands even if
+           the deadline expired while reaching it *)
+        if Queue.is_empty next then Holds (current_stats ())
+        else begin
+          Queue.transfer next queue;
+          incr depth;
+          search ()
+        end
+    else
+      let pair_id = Queue.take queue in
+      (* an entry left behind when its pair moved to an earlier level *)
+      if !pair_level.(pair_id) < 0 then search ()
+      else begin
+        cross_if_resuming ();
+        tick ();
+        check_budgets ();
+        match explore pair_id with
+        | Some result -> result
+        | None ->
+          note_boundary ();
+          search ()
+      end
   in
   let start () =
     intern_pair None (source.initial, Normalise.initial norm);
@@ -625,7 +676,7 @@ let product ~refusal ~max_pairs ?stop_at ?(workers = 1) ?(obs = Obs.silent)
      | None -> ());
     result
   | Error (kind, unfinished) ->
-    let frontier = Queue.length queue + unfinished in
+    let frontier = frontier_size () + unfinished in
     let cp : checkpoint =
       {
         explored = !b_explored;

@@ -1,8 +1,9 @@
 (** The product-search engine shared by every refinement check.
 
     A refinement check explores the product of the implementation's states
-    with the normalized specification's nodes, breadth-first (so reported
-    counterexamples have minimal length). The implementation side is
+    with the normalized specification's nodes, level by level in the
+    length of the visible trace, tau moves staying in their level (so
+    reported counterexamples have minimal length). The implementation side is
     abstracted as a {!source} of integer states — the staged combinator
     tree explored on the fly ([Reduce.staged_source]), a precompiled
     {!Lts.t} ({!lts_source}), or process terms interned on the fly
