@@ -229,9 +229,15 @@ module Json = struct
 
   let to_float v = match v with Num f -> Some f | _ -> None
 
+  (* [int_of_float] is unspecified outside the int range, which as
+     floats is [-2^62, 2^62): both bounds are exact. *)
   let to_int v =
     match v with
-    | Num f when Float.is_integer f -> Some (int_of_float f)
+    | Num f
+      when Float.is_integer f
+           && f >= Float.of_int min_int
+           && f < -.Float.of_int min_int ->
+      Some (int_of_float f)
     | _ -> None
 
   let to_str v = match v with Str s -> Some s | _ -> None

@@ -405,25 +405,21 @@ let fail_queued t reason =
   Queue.clear t.queue;
   Obs.set t.g_queue 0.
 
-let run_pending t =
-  let rec go () =
-    if Signals.tripped t.cfg.cancel then begin
-      t.draining <- true;
-      fail_queued t "daemon interrupted"
-    end
-    else
-      match Queue.take_opt t.queue with
-      | None -> ()
-      | Some job ->
-        Obs.set t.g_queue (float_of_int (Queue.length t.queue));
-        run_job t job;
-        go ()
-  in
-  go ()
+let run_next t =
+  match Queue.take_opt t.queue with
+  | None -> false
+  | Some job ->
+    Obs.set t.g_queue (float_of_int (Queue.length t.queue));
+    run_job t job;
+    true
 
 let drain t =
   t.draining <- true;
-  run_pending t;
+  let rec go () =
+    if Signals.tripped t.cfg.cancel then fail_queued t "daemon interrupted"
+    else if run_next t then go ()
+  in
+  go ();
   t.cfg.emit (Protocol.drained ~done_:t.jobs_done ~failed:t.jobs_failed ())
 
 let request ?v t = function
@@ -431,70 +427,62 @@ let request ?v t = function
   | Protocol.Health -> emit_health ?v t
   | Protocol.Drain -> t.draining <- true
 
-(* One reader domain feeds a mutex-protected inbox so the main loop can
-   interleave job execution with request ingestion (and notice a drain or
-   signal between jobs). The reader blocks in [input_line]; it is never
-   joined — process exit reaps it. *)
-type inbox = {
-  mu : Mutex.t;
-  lines : string Queue.t;
-  mutable eof : bool;
-}
-
 let serve cfg ic =
   let t = create cfg in
-  let inbox = { mu = Mutex.create (); lines = Queue.create (); eof = false } in
-  let _reader : unit Domain.t =
-    Domain.spawn (fun () ->
-        let rec loop () =
-          match input_line ic with
-          | line ->
-            Mutex.lock inbox.mu;
-            Queue.add line inbox.lines;
-            Mutex.unlock inbox.mu;
-            loop ()
-          | exception End_of_file ->
-            Mutex.lock inbox.mu;
-            inbox.eof <- true;
-            Mutex.unlock inbox.mu
+  (* Requests are read from the descriptor, never through the channel,
+     whose buffer [Unix.select] cannot see into. Complete lines wait in
+     [lines], the unterminated tail in [partial]. *)
+  let fd = Unix.descr_of_in_channel ic in
+  let wait_set = fd :: Option.to_list (Signals.wake_fd cfg.cancel) in
+  let chunk = Bytes.create 65536 and partial = Buffer.create 4096 in
+  let lines = Queue.create () and eof = ref false in
+  (* Wait up to [timeout] seconds (forever if negative) and take one
+     read's worth of input; false if none came (timeout, a signal, or
+     the token's wake-up). At end of input an unterminated last line
+     still counts, as it does for [input_line]. *)
+  let read_input ~timeout =
+    match Unix.select wait_set [] [] timeout with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+    | ready, _, _ when not (List.mem fd ready) -> false
+    | _ -> (
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> false
+      | 0 ->
+        eof := true;
+        if Buffer.length partial > 0 then
+          Queue.add (Buffer.contents partial) lines;
+        true
+      | n ->
+        let rec split from i =
+          if i = n then Buffer.add_subbytes partial chunk from (n - from)
+          else if Bytes.get chunk i <> '\n' then split from (i + 1)
+          else begin
+            Buffer.add_subbytes partial chunk from (i - from);
+            Queue.add (Buffer.contents partial) lines;
+            Buffer.clear partial;
+            split (i + 1) (i + 1)
+          end
         in
-        loop ())
-  in
-  let pop () =
-    Mutex.lock inbox.mu;
-    let line = Queue.take_opt inbox.lines in
-    let eof = inbox.eof in
-    Mutex.unlock inbox.mu;
-    (line, eof)
+        split 0 0;
+        true)
   in
   let rec loop () =
-    if Signals.tripped cfg.cancel then begin
-      t.draining <- true;
-      fail_queued t "daemon interrupted";
-      cfg.emit (Protocol.drained ~done_:t.jobs_done ~failed:t.jobs_failed ())
-    end
+    if Signals.tripped cfg.cancel then drain t
     else
-      match pop () with
-      | Some line, _ ->
+      match Queue.take_opt lines with
+      | Some line ->
         (match Protocol.request_of_line line with
         | Ok (req, v) -> request ~v t req
         | Error reason -> cfg.emit (Protocol.rejected ~id:None ~reason ()));
         loop ()
-      | None, eof -> (
-        if eof then t.draining <- true;
-        match Queue.take_opt t.queue with
-        | Some job ->
-          Obs.set t.g_queue (float_of_int (Queue.length t.queue));
-          run_job t job;
-          loop ()
-        | None ->
-          if t.draining then
-            cfg.emit
-              (Protocol.drained ~done_:t.jobs_done ~failed:t.jobs_failed ())
-          else begin
-            (* idle: nothing queued, input still open *)
-            cfg.sleep 0.02;
-            loop ()
-          end)
+      | None when !eof -> drain t
+      | None ->
+        (* Every line readable now is taken before the next job runs;
+           the wait blocks only when nothing is queued. *)
+        let idle = Queue.is_empty t.queue && not t.draining in
+        if read_input ~timeout:(if idle then -1. else 0.) || run_next t
+        then loop ()
+        else if t.draining then drain t
+        else loop ()
   in
   loop ()

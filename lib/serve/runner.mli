@@ -86,20 +86,19 @@ val request : ?v:Protocol.version -> t -> Protocol.request -> unit
     health event (tagged [v], the version the request arrived under),
     [Drain] stops further admissions. *)
 
-val run_pending : t -> unit
-(** Run queued jobs to completion, in order, emitting their events. If
-    the cancellation token trips mid-job the running job reports a
-    partial [interrupted] result and the rest of the queue is failed
-    without running. *)
-
 val drain : t -> unit
-(** Stop admissions, {!run_pending}, and emit the final [drained]
-    event. *)
+(** Stop admissions, run the queued jobs in order, and emit the final
+    [drained] event. If the cancellation token trips mid-job the running
+    job reports a partial [interrupted] result and the rest of the queue
+    is failed without running. *)
 
 val serve : config -> in_channel -> unit
-(** The daemon loop: a reader domain ingests NDJSON requests from the
-    channel while the calling domain applies them and runs jobs. Returns
-    after the queue is drained following a [drain] request, end of input,
-    or the cancellation token tripping; the [drained] event is the last
-    line emitted. The reader domain is deliberately not joined — it may
-    be parked in a blocking read on a channel nothing will ever close. *)
+(** The daemon loop: read NDJSON requests, apply them and run jobs, all
+    on the calling domain. Requests are read from the channel's file
+    descriptor, not through the channel, so bytes the caller has already
+    buffered in it are not seen. Every line readable when a job finishes
+    is applied before the next job starts; with no job queued the loop
+    blocks in [Unix.select] until input arrives or the cancellation
+    token trips. Returns after the queue is drained following a [drain]
+    request, end of input (an unterminated last line still counts), or
+    the token tripping; the [drained] event is the last line emitted. *)

@@ -46,6 +46,16 @@ let test_json_roundtrip () =
       | _ -> Alcotest.fail "unexpected shape for member a");
      check_bool "member miss" true (Obs.Json.member "zzz" j = None)
    | Error msg -> Alcotest.fail ("parse failed: " ^ msg));
+  (* integral floats outside the int range are not ints (they used to
+     overflow to 0); the range's own ends are *)
+  let lo = Float.of_int min_int in
+  List.iter
+    (fun (f, want) ->
+      check_bool (Printf.sprintf "to_int %h" f) true
+        (Obs.Json.to_int (Obs.Json.Num f) = want))
+    [ (1e20, None); (-1e20, None); (1.8446744073709552e19, None);
+      (-.lo, None); (lo, Some min_int); (Float.pred (-.lo), Some (max_int - 511));
+      (Float.infinity, None); (Float.nan, None) ];
   (* malformed inputs are Errors, not exceptions *)
   List.iter
     (fun bad ->

@@ -2,7 +2,8 @@
    cancellation token, the cspm-checkd/1 wire codec, and the supervised
    runner (backpressure, deadline-driven retry resuming from engine
    checkpoints, graceful drain) — all with injected emit/sleep hooks so
-   nothing here waits on a real clock or a real signal. *)
+   nothing here waits on a real signal, and only the pipe-driven loop
+   tests on a real clock. *)
 
 let check_string = Alcotest.(check string)
 let check_int = Alcotest.(check int)
@@ -133,6 +134,21 @@ let test_request_parse () =
        && j.Serve.Protocol.max_retries = None)
    | Ok _ -> Alcotest.fail "parsed as the wrong request"
    | Error msg -> Alcotest.fail msg);
+  (* an integer field past the int range reads as absent, as a
+     fractional one does — not as 0 *)
+  List.iter
+    (fun n ->
+      match
+        Serve.Protocol.request_of_line
+          (Printf.sprintf
+             {|{"op":"submit","id":"j3","path":"m.csp","max_states":%s}|} n)
+      with
+      | Ok (Serve.Protocol.Submit j, _) ->
+        check_bool ("max_states " ^ n ^ " is absent") true
+          (j.Serve.Protocol.max_states = None)
+      | Ok _ -> Alcotest.fail "parsed as the wrong request"
+      | Error msg -> Alcotest.fail msg)
+    [ "1e20"; "1.5" ];
   check_bool "health" true
     (Serve.Protocol.request_of_line {|{"op":"health"}|}
     = Ok (Serve.Protocol.Health, Serve.Protocol.V1));
@@ -545,46 +561,128 @@ let test_cancel_fails_queue () =
   check_string "still drains cleanly" "drained" (event_name drained);
   check_int "drained counts the casualties" 2 (req "failed" drained)
 
-(* The full daemon loop against a scripted stdin: reader domain, request
-   dispatch, implicit drain at end of input. *)
-let test_serve_loop_end_to_end () =
-  let requests =
+(* The daemon loop's input: a submit, a health probe and a bad op, one
+   per line. [pad] lengthens the submit's inline script with a comment
+   line, so the request can outgrow the loop's 64 KiB read. *)
+let serve_input ?(pad = 0) ?(final_newline = true) () =
+  let script =
+    if pad = 0 then trivial_script
+    else trivial_script ^ "-- " ^ String.make pad 'x' ^ "\n"
+  in
+  String.concat "\n"
     [
       Printf.sprintf
         {|{"schema":"cspm-checkd/1","op":"submit","id":"s1","script":%s}|}
-        (Obs.Json.to_string (Obs.Json.Str trivial_script));
+        (Obs.Json.to_string (Obs.Json.Str script));
       {|{"op":"health"}|};
       {|{"op":"nonsense"}|};
     ]
+  ^ if final_newline then "\n" else ""
+
+(* Run the daemon loop over [ic] and return its events in order. *)
+let serve_events ic =
+  let events = ref [] in
+  let cfg =
+    {
+      (Serve.Runner.default_config ~emit:(fun j -> events := j :: !events)) with
+      Serve.Runner.sleep = (fun _ -> ());
+    }
   in
+  Serve.Runner.serve cfg ic;
+  List.rev !events
+
+let check_serve_events evs =
+  let names = List.map event_name evs in
+  List.iter
+    (fun expected ->
+      check_bool (expected ^ " event present") true (List.mem expected names))
+    [ "accepted"; "health"; "rejected"; "result"; "drained" ];
+  check_string "drained closes the stream" "drained"
+    (List.nth names (List.length names - 1));
+  let drained = List.hd (List.rev evs) in
+  check_int "the submitted job completed" 1 (req "done" drained);
+  check_int "nothing failed" 0 (req "failed" drained)
+
+let file_events input =
   let path = Filename.temp_file "serve_requests" ".ndjson" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Serve.Fsio.atomic_write ~path (String.concat "\n" requests ^ "\n");
-      let events = ref [] in
-      let cfg =
-        {
-          (Serve.Runner.default_config ~emit:(fun j -> events := j :: !events)) with
-          Serve.Runner.sleep = (fun _ -> ());
-        }
-      in
+      Serve.Fsio.atomic_write ~path input;
       let ic = open_in path in
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Serve.Runner.serve cfg ic);
-      let evs = List.rev !events in
-      let names = List.map event_name evs in
-      List.iter
-        (fun expected ->
-          check_bool (expected ^ " event present") true
-            (List.mem expected names))
-        [ "accepted"; "health"; "rejected"; "result"; "drained" ];
-      check_string "drained closes the stream" "drained"
-        (List.nth names (List.length names - 1));
-      let drained = List.hd (List.rev evs) in
-      check_int "the submitted job completed" 1 (req "done" drained);
-      check_int "nothing failed" 0 (req "failed" drained))
+        (fun () -> serve_events ic))
+
+(* The full daemon loop against a scripted stdin: request dispatch and
+   the implicit drain at end of input. *)
+let test_serve_loop_end_to_end () =
+  check_serve_events (file_events (serve_input ()))
+
+(* The same loop over a pipe whose writer, on another domain, hands the
+   input over in pieces cut at [cuts] (byte offsets), pausing between
+   writes so the loop meets each piece as a separate read. *)
+let pipe_events ~cuts input =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let writer =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Unix.close w)
+          (fun () ->
+            let rec write_from pos = function
+              | [] -> write_all pos (String.length input)
+              | cut :: rest ->
+                write_all pos cut;
+                Unix.sleepf 0.002;
+                write_from cut rest
+            and write_all pos stop =
+              if pos < stop then
+                write_all
+                  (pos + Unix.write_substring w input pos (stop - pos))
+                  stop
+            in
+            write_from 0 cuts))
+  in
+  let ic = Unix.in_channel_of_descr r in
+  let evs =
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> serve_events ic)
+  in
+  Domain.join writer;
+  evs
+
+(* Over a pipe, ingestion can interleave with the job differently than
+   over a file, so events are compared as a multiset of names. *)
+let check_same_events_as_file input evs =
+  check_serve_events evs;
+  let names evs = List.sort compare (List.map event_name evs) in
+  Alcotest.(check (list string))
+    "the events the file-driven loop emits"
+    (names (file_events input)) (names evs)
+
+let test_serve_pipe_split_writes () =
+  let input = serve_input () in
+  let n = String.length input in
+  (* inside the first key, mid-input, and on both sides of each newline *)
+  let around_newlines =
+    List.concat
+      (List.init n (fun i -> if input.[i] = '\n' then [ i; i + 1 ] else []))
+  in
+  let cuts =
+    List.sort_uniq compare
+      (List.filter (fun c -> c > 0 && c < n) ([ 1; 7; n / 2 ] @ around_newlines))
+  in
+  check_same_events_as_file input (pipe_events ~cuts input)
+
+let test_serve_pipe_long_line () =
+  let input = serve_input ~pad:150_000 () in
+  check_bool "one request outgrows a 64 KiB read" true
+    (String.length input > 2 * 65536);
+  check_same_events_as_file input (pipe_events ~cuts:[ 4096; 70_000 ] input)
+
+let test_serve_pipe_unterminated_last_line () =
+  let input = serve_input ~final_newline:false () in
+  check_same_events_as_file input
+    (pipe_events ~cuts:[ String.length input - 5 ] input)
 
 let suite =
   ( "serve",
@@ -618,4 +716,10 @@ let suite =
         test_cancel_fails_queue;
       Alcotest.test_case "serve loop end to end over scripted input" `Quick
         test_serve_loop_end_to_end;
+      Alcotest.test_case "serve loop over a pipe: requests split anywhere"
+        `Quick test_serve_pipe_split_writes;
+      Alcotest.test_case "serve loop over a pipe: a line past one read"
+        `Quick test_serve_pipe_long_line;
+      Alcotest.test_case "serve loop over a pipe: unterminated last line"
+        `Quick test_serve_pipe_unterminated_last_line;
     ] )

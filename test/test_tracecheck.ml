@@ -267,6 +267,19 @@ let test_parse_line () =
   (match Serve.Trace_io.parse_line {|{"s":"s1","t":"soon"}|} with
   | Serve.Trace_io.Malformed { stream = Some "s1"; _ } -> ()
   | _ -> Alcotest.fail "bad entry did not recover its stream");
+  (* numbers past the int range are bad fields, not time 0 / id 0 *)
+  List.iter
+    (fun raw ->
+      match Serve.Trace_io.parse_line raw with
+      | Serve.Trace_io.Malformed { stream = Some "a"; _ } -> ()
+      | line ->
+        Alcotest.failf "out-of-range line %S not Malformed: %s" raw
+          (match line with
+          | Serve.Trace_io.Entry { entry; _ } ->
+            Obs.Json.to_string (Canbus.Trace_log.entry_to_json entry)
+          | _ -> "meta"))
+    [ {|{"s":"a","t":1e20,"n":"VMG","d":"tx","id":1e20,"data":[1]}|};
+      {|{"s":"a","t":1,"n":"VMG","d":"tx","id":18446744073709551873,"data":[1]}|} ];
   (match Serve.Trace_io.parse_line {|{"s":"s1","meta":{"drop":0.5}}|} with
   | Serve.Trace_io.Meta { stream = "s1"; _ } -> ()
   | _ -> Alcotest.fail "meta line not recognised");

@@ -89,12 +89,12 @@ let lint_effects path contents =
     banned_effects
 
 (* Interruption discipline: [lib/serve] owns signal handling (the
-   cancellation token plumbing) and the only legitimate blocking sleeps
-   (retry backoff, the daemon's idle poll). Anywhere else under lib/, an
-   installed handler would fight the CLIs' graceful-degradation handlers
-   and a sleep would stall a search domain. Textual, like the effects
-   lint: even a doc-comment mention trips it — link {!Serve.Signals}
-   instead. *)
+   cancellation token plumbing) and the only legitimate blocking sleep,
+   the retry backoff: the daemon waits for input in [Unix.select], not
+   by polling. Anywhere else under lib/, an installed handler would
+   fight the CLIs' graceful-degradation handlers and a sleep would stall
+   a search domain. Textual, like the effects lint: even a doc-comment
+   mention trips it — link {!Serve.Signals} instead. *)
 let banned_interruption =
   [ "Sys.signal"; "Sys.set_signal"; "Unix.sleep"; "Unix.sleepf" ]
 
@@ -133,9 +133,9 @@ let lint_digest path contents =
    other discipline lints: even a comment mention trips it.
 
    - Domains: parallelism lives only where the work is independent —
-     whole assertions and the daemon's stdin reader. The product search
-     and the trace checker are sequential loops and must not silently
-     grow a domain pool again.
+     whole assertions. The product search, the trace checker and the
+     daemon loop are sequential and must not silently grow a domain
+     pool again.
    - The normal form is built on demand, node by node, as the product
      search asks for it. Only the trace checker needs it whole (it
      freezes every node into tables); a check path that forced it would
@@ -156,7 +156,7 @@ let confined =
   let engine = "(implementations compile through Reduce's staged tree)" in
   [
     ( "Domain.spawn",
-      [ "cspm/check"; "serve/runner" ],
+      [ "cspm/check" ],
       "(keep the product search and the trace checker sequential)" );
     ( "Normalise.force",
       [ "csp/tracecheck" ],
